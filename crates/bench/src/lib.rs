@@ -105,6 +105,27 @@ impl ObsMeasurement {
     }
 }
 
+/// Runs `c` with the hotness profiler attached — sampling mode, or precise
+/// mode with exact per-return accounting.
+fn run_hotness(c: &Compilation, precise: bool) -> (vgl::RunOutcome, vgl::RuntimeProfile) {
+    let mut vm = c.vm();
+    if precise {
+        vm.enable_runtime_profiling_precise();
+    } else {
+        vm.enable_runtime_profiling();
+    }
+    let out = vgl::run_vm(&mut vm);
+    (out, vm.take_runtime_profile().unwrap_or_default())
+}
+
+/// Runs `c` with the opcode histogram and GC event log attached.
+fn run_opcode_profiled(c: &Compilation) -> vgl::VmProfile {
+    let mut vm = c.vm();
+    vm.enable_profiling();
+    vgl::run_vm(&mut vm);
+    vm.take_profile().unwrap_or_default()
+}
+
 /// Compiles `source` once, asserts profiling changes no observable
 /// behavior, then times `samples` interleaved plain/sampling/precise run
 /// triples and reports the **summed** time per mode. Sums (equivalently,
@@ -114,8 +135,8 @@ impl ObsMeasurement {
 pub fn measure_obs(name: &str, source: &str, samples: usize) -> ObsMeasurement {
     let c = compile(source);
     let plain_out = c.execute();
-    let (profiled_out, hotness) = c.execute_hotness_profiled();
-    let (precise_out, precise_hotness) = c.execute_hotness_profiled_precise();
+    let (profiled_out, hotness) = run_hotness(&c, false);
+    let (precise_out, precise_hotness) = run_hotness(&c, true);
     assert_eq!(plain_out.result, profiled_out.result, "{name}: profiling changed the result");
     assert_eq!(plain_out.output, profiled_out.output, "{name}: profiling changed the output");
     assert_eq!(plain_out.result, precise_out.result, "{name}: precise mode changed the result");
@@ -130,10 +151,10 @@ pub fn measure_obs(name: &str, source: &str, samples: usize) -> ObsMeasurement {
         let _ = c.execute();
         tp += start.elapsed();
         let start = Instant::now();
-        let _ = c.execute_hotness_profiled();
+        let _ = run_hotness(&c, false);
         to += start.elapsed();
         let start = Instant::now();
-        let _ = c.execute_hotness_profiled_precise();
+        let _ = run_hotness(&c, true);
         tq += start.elapsed();
     }
     let top = hotness.hotness_ranked(&c.program).into_iter().next();
@@ -199,7 +220,7 @@ pub fn measure_fusion(name: &str, source: &str, samples: usize) -> FusionMeasure
     let [tu, tf] = harness::measure_min_of_n(samples, |_| {
         [measure_vm(&unfused).time, measure_vm(&fused).time]
     });
-    let (_, profile) = fused.execute_profiled();
+    let profile = run_opcode_profiled(&fused);
     FusionMeasurement {
         name: name.to_string(),
         unfused: tu,
@@ -365,10 +386,10 @@ pub fn measure_gc(
     let (mut semi_collections, mut gen_minors, mut gen_majors) = (0u64, 0u64, 0u64);
     let [ts, tg] = harness::measure_min_of_n(samples, |sample| {
         let start = Instant::now();
-        let (_, sp) = semi.execute_profiled();
+        let sp = run_opcode_profiled(&semi);
         let s = start.elapsed();
         let start = Instant::now();
-        let (_, gp) = generational.execute_profiled();
+        let gp = run_opcode_profiled(&generational);
         let g = start.elapsed();
         if sample > 0 {
             semi_pauses.extend(sp.gc_events.iter().map(|e| e.pause));
@@ -446,7 +467,8 @@ pub fn measure_backend(
         let (mut m, _) = vgl_passes::monomorphize_cfg(&module, &cfg, &mut report);
         vgl_passes::normalize_cfg(&mut m, &cfg, &mut report);
         vgl_passes::optimize_cfg(&mut m, &cfg, &mut report);
-        let (_prog, _, _) = vgl_vm::lower_fuse(&m, &cfg);
+        let mut prog = vgl_vm::lower(&m);
+        vgl_vm::fuse_cfg(&mut prog, &cfg);
         [start.elapsed()]
     });
     BackendMeasurement {

@@ -486,7 +486,10 @@ fn main() -> ExitCode {
     match cmd.as_str() {
         "run" => {
             if let Some(capacity) = flight {
-                let (out, dump) = compilation.execute_flight_recorded(capacity);
+                let mut vm = compilation.vm();
+                vm.enable_flight_recorder(capacity);
+                let out = vgl::run_vm(&mut vm);
+                let dump = vm.flight_dump();
                 print!("{}", out.output);
                 if out.result.is_err() {
                     if let Some(d) = dump {
@@ -501,7 +504,10 @@ fn main() -> ExitCode {
             }
         }
         "trace" => {
-            let (out, log) = compilation.execute_traced();
+            let mut vm = compilation.vm();
+            vm.enable_trace_log(1 << 18);
+            let out = vgl::run_vm(&mut vm);
+            let log = vm.take_trace_log().unwrap_or_else(|| vgl::TraceLog::new(1));
             let trace = vgl::chrome::chrome_trace(&compilation, &out, &log);
             let text = trace.render();
             // Self-validate: the exporter's output must round-trip through
@@ -544,7 +550,7 @@ fn main() -> ExitCode {
         }
         "stats" if json => {
             let i = compilation.interpret();
-            let (v, profile, hotness) = compilation.execute_profiled_full();
+            let (v, profile, hotness) = run_profiled(&compilation);
             let report = vgl::report::stats_json(
                 &compilation,
                 Some(&i),
@@ -556,7 +562,7 @@ fn main() -> ExitCode {
             ExitCode::SUCCESS
         }
         "profile" => {
-            let (out, profile, hotness) = compilation.execute_profiled_full();
+            let (out, profile, hotness) = run_profiled(&compilation);
             println!("== compile phases ==");
             print!("{}", compilation.trace.render_table());
             let b = &compilation.backend;
@@ -668,7 +674,13 @@ fn main() -> ExitCode {
             if tiered_view {
                 // Run the program with tiering forced on, then show each
                 // tiered function pre/post tier-up with guard sites.
-                let (out, view) = compilation.execute_tiered_disasm();
+                let mut vm = compilation.vm();
+                vm.enable_tiering(options.tier_threshold);
+                let out = vgl::run_vm(&mut vm);
+                let view = vm
+                    .tier_state()
+                    .map(|t| vgl_vm::tiered_view(&compilation.program, t))
+                    .unwrap_or_default();
                 print!("{view}");
                 if let Err(e) = out.result {
                     eprintln!("runtime error: {e}");
@@ -685,6 +697,18 @@ fn main() -> ExitCode {
         }
         _ => usage(),
     }
+}
+
+/// Runs with the opcode profile and the precise hotness profiler attached —
+/// everything `vglc profile` and `vglc stats --json` report.
+fn run_profiled(c: &vgl::Compilation) -> (vgl::RunOutcome, vgl::VmProfile, vgl::RuntimeProfile) {
+    let mut vm = c.vm();
+    vm.enable_profiling();
+    vm.enable_runtime_profiling_precise();
+    let out = vgl::run_vm(&mut vm);
+    let profile = vm.take_profile().unwrap_or_default();
+    let hotness = vm.take_runtime_profile().unwrap_or_default();
+    (out, profile, hotness)
 }
 
 fn check(path: &str, source: &str, json: bool) -> ExitCode {

@@ -31,7 +31,8 @@ pub const WORKER_TID0: u64 = 1;
 
 /// Builds the unified Chrome trace for one compiled-and-executed program.
 ///
-/// `run` and `log` come from [`Compilation::execute_traced`]; the compile
+/// `run` and `log` come from a [`Compilation::vm`] run with
+/// `Vm::enable_trace_log` attached; the compile
 /// side is read off the compilation's own [`crate::PhaseTrace`].
 pub fn chrome_trace(c: &Compilation, run: &RunOutcome, log: &TraceLog) -> ChromeTrace {
     let mut t = ChromeTrace::new();
@@ -64,15 +65,18 @@ pub fn chrome_trace(c: &Compilation, run: &RunOutcome, log: &TraceLog) -> Chrome
     let compile_total = cursor;
 
     // Worker lanes. A sample's `start` is relative to its pool's start,
-    // which coincides with its parallel phase's start. The "hash"
-    // fingerprinting pool has no phase of its own — it runs at the head of
-    // the next parallel phase in commit order, so anchor it there.
+    // which coincides with its parallel phase's start. A sub-pool named
+    // `phase-role` ("mono-hash", streamed mono's hashing) runs inside its
+    // phase. The "hash" fingerprinting pool has no phase of its own — it
+    // runs at the head of the next parallel phase in commit order, so
+    // anchor it there.
     let anchor =
         |name: &str| phase_start.iter().find(|&&(n, _)| n == name).map(|&(_, s)| s);
     let workers = &c.trace.workers;
     let mut max_worker = None;
     for (i, w) in workers.iter().enumerate() {
         let base = anchor(w.phase)
+            .or_else(|| w.phase.split_once('-').and_then(|(phase, _)| anchor(phase)))
             .or_else(|| workers[i + 1..].iter().find_map(|later| anchor(later.phase)))
             .unwrap_or(0.0);
         max_worker = Some(max_worker.unwrap_or(0).max(w.worker));
@@ -183,6 +187,13 @@ pub fn chrome_trace(c: &Compilation, run: &RunOutcome, log: &TraceLog) -> Chrome
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn traced(c: &Compilation) -> (RunOutcome, TraceLog) {
+        let mut vm = c.vm();
+        vm.enable_trace_log(1 << 18);
+        let run = crate::run_vm(&mut vm);
+        (run, vm.take_trace_log().expect("enabled"))
+    }
     use crate::Compiler;
     use vgl_obs::json::parse;
 
@@ -208,7 +219,7 @@ mod tests {
         // Small heap to force collections.
         let options = crate::Options { heap_slots: 512, ..Default::default() };
         let c = Compiler::with_options(options).compile(ALLOCATING).expect("compiles");
-        let (run, log) = c.execute_traced();
+        let (run, log) = traced(&c);
         assert!(run.result.is_ok(), "{:?}", run.result);
         let trace = chrome_trace(&c, &run, &log);
 
@@ -262,7 +273,7 @@ mod tests {
     #[test]
     fn worker_lanes_appear_at_higher_job_counts() {
         let c = Compiler::new().with_jobs(8).with_fuse().compile(ALLOCATING).expect("compiles");
-        let (run, log) = c.execute_traced();
+        let (run, log) = traced(&c);
         let trace = chrome_trace(&c, &run, &log);
         let parsed = parse(&trace.render()).expect("valid");
         let events = parsed.get("traceEvents").unwrap().as_arr().unwrap().to_vec();
@@ -290,7 +301,7 @@ mod tests {
         let src = "class A { var x: int; new(x) { } }\n\
             def main() -> int { var a: A; return a.x; }";
         let c = Compiler::new().compile(src).expect("compiles");
-        let (run, log) = c.execute_traced();
+        let (run, log) = traced(&c);
         assert!(run.result.is_err());
         let trace = chrome_trace(&c, &run, &log);
         let parsed = parse(&trace.render()).expect("valid");

@@ -9,8 +9,10 @@
 //!   returns the shared [`Compilation`] `Arc` without running anything.
 //!
 //! * **Level 2 — per-function artifacts.** Keyed by
-//!   ([`vgl_passes::context_digest`], `method_fingerprint`, option bits),
-//!   both computed **post-normalize**. On an edit, the front end, mono,
+//!   ([`vgl_passes::context_digest`], [`vgl_passes::reuse_fingerprints`],
+//!   option bits), all computed **post-normalize**. The fingerprint covers
+//!   the method and every method it can reach through calls, because the
+//!   optimizer inlines callees' bodies. On an edit, the front end, mono,
 //!   and normalize always run — normalize is cheap and serial, and its
 //!   wrapper synthesis and type interning are order-sensitive global
 //!   state, so skipping it would change id spaces. Every method whose
@@ -19,7 +21,13 @@
 //!   and masked out of rewriting, so the devirtualization and inlining
 //!   tables other methods fold against match the cold fixpoint) and skips
 //!   lower + fuse (its cached fused bytecode is relocated into the
-//!   reserved function slot by [`vgl_vm::lower_fuse_incremental`]).
+//!   reserved function slot by [`vgl_vm::lower_incremental`] and masked
+//!   out of [`vgl_vm::fuse_cfg_masked`]).
+//!
+//! Level 2 is not a second pipeline: it is the reuse hook of the one
+//! compile driver ([`Compiler::compile`] passes no hook), applied
+//! post-normalize (`FuncStore::splice`), at lowering, and after fusion
+//! (`FuncStore::publish`).
 //!
 //! The contract, pinned by the serving determinism suite: warm output is
 //! **byte-identical** to a cold one-shot [`Compiler::compile`] of the same
@@ -31,17 +39,13 @@ use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
-use vgl_obs::PhaseTrace;
+use vgl_ir::Module;
 use vgl_passes::{
-    cache, context_digest, BackendConfig, BackendReport, OptStats, ShardedLru, StoreStats,
+    call_graph, context_digest, inline_fingerprint, reuse_fingerprints, ShardedLru, StoreStats,
 };
-use vgl_syntax::Diagnostics;
-use vgl_vm::{ReusePlan, SpliceFunc};
+use vgl_vm::{Capture, ReusePlan, SpliceFunc, VmProgram};
 
-use crate::{
-    render, render_violations, Compilation, CompileError, Compiler, Options, PassTimes,
-    PipelineStats,
-};
+use crate::{Compilation, CompileError, Compiler, Options};
 
 /// Default level-1 capacity: whole compilations are big (module + bytecode),
 /// and a serving session rarely juggles more than a few dozen live sources.
@@ -53,7 +57,8 @@ pub const DEFAULT_ARTIFACT_CAPACITY: usize = 64;
 pub const DEFAULT_FUNC_CAPACITY: usize = 4096;
 
 /// Level-2 store key: an artifact is reusable exactly when the module
-/// context, the method content, and the codegen options all match.
+/// context, the content of the method and of everything it calls, and the
+/// codegen options all match.
 #[derive(Clone, Copy, PartialEq, Eq, Hash)]
 struct FuncKey {
     ctx: (u64, u64),
@@ -67,6 +72,8 @@ struct FuncKey {
 struct CachedFunc {
     opt_body: Option<vgl_ir::Body>,
     opt_locals: Vec<vgl_ir::Local>,
+    /// [`inline_fingerprint`] of the post-optimize body.
+    inline: Option<(u64, u64)>,
     splice: Arc<SpliceFunc>,
 }
 
@@ -118,6 +125,135 @@ fn source_key(source: &str, opts: u64) -> (u64, u64, u64) {
     (a, b, opts)
 }
 
+/// The level-2 store and its counters — the reuse hook the compile
+/// driver calls post-normalize ([`FuncStore::splice`]) and after fusion
+/// ([`FuncStore::publish`]).
+pub(crate) struct FuncStore {
+    opts_key: u64,
+    entries: ShardedLru<FuncKey, CachedFunc>,
+    methods_spliced: AtomicUsize,
+    methods_compiled: AtomicUsize,
+    /// Bite seam for the edit-history lane: a deliberately weakened key.
+    #[cfg(test)]
+    weaken: tests::Weaken,
+}
+
+/// One compile's reuse decisions, made post-normalize.
+pub(crate) struct Splice {
+    ctx: (u64, u64),
+    fps: Vec<(u64, u64)>,
+    /// Which cached artifacts lowering splices in.
+    pub(crate) plan: ReusePlan,
+    /// `skip[i]`: method `i` was spliced, so optimize and fuse leave it be.
+    pub(crate) skip: Vec<bool>,
+}
+
+impl FuncStore {
+    fn new(opts_key: u64, capacity: usize) -> FuncStore {
+        FuncStore {
+            opts_key,
+            entries: ShardedLru::new(capacity),
+            methods_spliced: AtomicUsize::new(0),
+            methods_compiled: AtomicUsize::new(0),
+            #[cfg(test)]
+            weaken: tests::Weaken::Nothing,
+        }
+    }
+
+    /// The context digest and per-method fingerprints `module` is keyed by.
+    fn keys(&self, module: &Module, calls: &[Vec<usize>]) -> ((u64, u64), Vec<(u64, u64)>) {
+        let keys = (context_digest(module), reuse_fingerprints(module, calls));
+        #[cfg(test)]
+        let keys = self.weaken.apply(module, keys);
+        keys
+    }
+
+    /// Post-normalize hook: digests the module context, fingerprints every
+    /// method, looks each up, and splices every hit's post-optimize body
+    /// into `module`.
+    ///
+    /// A hit is spliced only if it leaves the optimizer's view unchanged
+    /// for every method that is optimized afresh. Such a method reads its
+    /// callees' inline forms in every fixpoint round; a cold compile shows
+    /// it each callee's form round by round, from the post-normalize body
+    /// on, while a spliced callee shows its final form from round one. So
+    /// a callee of a fresh method is spliced only when its inline form is
+    /// the same before and after optimization (both absent, or equal —
+    /// candidates only shrink, so that holds in every round). Callees that
+    /// fail this are compiled afresh too, and their callees checked in
+    /// turn.
+    pub(crate) fn splice(&self, module: &mut Module) -> Splice {
+        let calls = call_graph(module);
+        let (ctx, fps) = self.keys(module, &calls);
+        let n = module.methods.len();
+        // Decisions are per fingerprint so duplicate instances (equal
+        // fingerprint, different name) always agree — the optimizer's
+        // skip mask must be duplicate-consistent even if the store evicts
+        // between two lookups.
+        let mut hits: HashMap<(u64, u64), Option<Arc<CachedFunc>>> = HashMap::new();
+        let mut instances: HashMap<(u64, u64), Vec<usize>> = HashMap::new();
+        for (i, &fp) in fps.iter().enumerate() {
+            hits.entry(fp)
+                .or_insert_with(|| self.entries.get(&FuncKey { ctx, fp, opts: self.opts_key }));
+            instances.entry(fp).or_default().push(i);
+        }
+        let mut fresh: Vec<usize> = (0..n).filter(|&i| hits[&fps[i]].is_none()).collect();
+        #[cfg(test)]
+        self.weaken.skip_inline_check(&mut fresh);
+        while let Some(i) = fresh.pop() {
+            for &j in &calls[i] {
+                let unstable = hits[&fps[j]]
+                    .as_ref()
+                    .is_some_and(|c| c.inline != inline_fingerprint(module, j));
+                if unstable {
+                    hits.insert(fps[j], None);
+                    fresh.extend(&instances[&fps[j]]);
+                }
+            }
+        }
+        let mut funcs = Vec::with_capacity(n);
+        let mut skip = Vec::with_capacity(n);
+        for (m, fp) in module.methods.iter_mut().zip(&fps) {
+            let hit = hits[fp].clone();
+            if let Some(c) = &hit {
+                m.body.clone_from(&c.opt_body);
+                m.locals.clone_from(&c.opt_locals);
+            }
+            skip.push(hit.is_some());
+            funcs.push(hit.map(|c| c.splice.clone()));
+        }
+        let spliced = skip.iter().filter(|&&b| b).count();
+        self.methods_spliced.fetch_add(spliced, Ordering::Relaxed);
+        self.methods_compiled.fetch_add(n - spliced, Ordering::Relaxed);
+        Splice { ctx, fps, plan: ReusePlan { funcs }, skip }
+    }
+
+    /// After-fusion hook: publishes every freshly compiled method. Insert
+    /// is content-addressed first-writer-wins, so racing compiles of equal
+    /// methods share one entry; duplicate instances collapse onto their
+    /// representative's key by fingerprint equality.
+    pub(crate) fn publish(
+        &self,
+        splice: Splice,
+        module: &Module,
+        program: &VmProgram,
+        captures: Vec<Option<Capture>>,
+    ) {
+        for (i, cap) in captures.into_iter().enumerate() {
+            let Some(cap) = cap else { continue };
+            self.entries.insert(
+                FuncKey { ctx: splice.ctx, fp: splice.fps[i], opts: self.opts_key },
+                CachedFunc {
+                    opt_body: module.methods[i].body.clone(),
+                    opt_locals: module.methods[i].locals.clone(),
+                    inline: inline_fingerprint(module, i),
+                    splice: Arc::new(cap.into_splice(program, i)),
+                },
+            );
+        }
+    }
+}
+
 /// A [`Compiler`] with persistent cross-request caching. Shareable across
 /// threads (`&self` everywhere; the stores are lock-striped internally) —
 /// the daemon holds one in an `Arc` and every session thread compiles
@@ -126,9 +262,7 @@ pub struct IncrementalCompiler {
     compiler: Compiler,
     opts_key: u64,
     artifacts: ShardedLru<(u64, u64, u64), Compilation>,
-    funcs: ShardedLru<FuncKey, CachedFunc>,
-    methods_spliced: AtomicUsize,
-    methods_compiled: AtomicUsize,
+    funcs: FuncStore,
 }
 
 impl IncrementalCompiler {
@@ -152,9 +286,7 @@ impl IncrementalCompiler {
             compiler,
             opts_key,
             artifacts: ShardedLru::new(artifact_capacity),
-            funcs: ShardedLru::new(func_capacity),
-            methods_spliced: AtomicUsize::new(0),
-            methods_compiled: AtomicUsize::new(0),
+            funcs: FuncStore::new(opts_key, func_capacity),
         }
     }
 
@@ -167,9 +299,9 @@ impl IncrementalCompiler {
     pub fn stats(&self) -> IncrementalStats {
         IncrementalStats {
             artifacts: self.artifacts.stats(),
-            funcs: self.funcs.stats(),
-            methods_spliced: self.methods_spliced.load(Ordering::Relaxed),
-            methods_compiled: self.methods_compiled.load(Ordering::Relaxed),
+            funcs: self.funcs.entries.stats(),
+            methods_spliced: self.funcs.methods_spliced.load(Ordering::Relaxed),
+            methods_compiled: self.funcs.methods_compiled.load(Ordering::Relaxed),
         }
     }
 
@@ -185,204 +317,10 @@ impl IncrementalCompiler {
         if let Some(art) = self.artifacts.get(&skey) {
             return Ok(art);
         }
-        let compilation = self.compile_warm(source)?;
+        let compilation = self.compiler.compile_staged(source, Some(&self.funcs))?;
         // First-writer-wins: concurrent compiles of the same source share
         // whichever artifact published first (they are byte-identical).
         Ok(self.artifacts.insert(skey, compilation))
-    }
-
-    /// The level-1-miss path: full front end + mono + normalize, then
-    /// per-function reuse through optimize/lower/fuse.
-    fn compile_warm(&self, source: &str) -> Result<Compilation, CompileError> {
-        let o = self.compiler.options;
-        let mut trace = PhaseTrace::new();
-        let token_count = {
-            let mut scratch = Diagnostics::new();
-            trace
-                .time(
-                    "lex",
-                    source.len(),
-                    || vgl_syntax::lexer::lex(source, &mut scratch),
-                    Vec::len,
-                )
-                .len()
-        };
-        let mut diags = Diagnostics::new();
-        let ast = trace.time(
-            "parse",
-            token_count,
-            || vgl_syntax::parse_program(source, &mut diags),
-            |p| p.decls.len(),
-        );
-        if diags.has_errors() {
-            return Err(render(source, diags));
-        }
-        let analyzed =
-            trace.time("sema", ast.decls.len(), || vgl_sema::analyze(&ast, &mut diags), |_| 0);
-        let Some(module) = analyzed else {
-            return Err(render(source, diags));
-        };
-
-        let backend_cfg = BackendConfig {
-            jobs: vgl_passes::sched::resolve_jobs(o.jobs),
-            cache: o.pass_cache,
-            chunking: true,
-        };
-        let mut backend = BackendReport { jobs: backend_cfg.jobs, ..BackendReport::default() };
-        // Each `vgl_ir::measure` is a full IR walk (~0.5 ms on a serving
-        // workload), so every size below is computed exactly once and
-        // threaded into both the trace and the pipeline stats.
-        let size_before = vgl_ir::measure(&module);
-        trace.set_items_out("sema", size_before.expr_nodes);
-        let (mut compiled, mono) = trace.time(
-            "mono",
-            size_before.expr_nodes,
-            || vgl_passes::monomorphize_cfg(&module, &backend_cfg, &mut backend),
-            |_| 0,
-        );
-        if o.validate_ir {
-            let violations = vgl_ir::check_monomorphic(&compiled);
-            assert!(
-                violations.is_empty(),
-                "internal compiler error: monomorphization left polymorphism behind:\n{}",
-                render_violations(&violations)
-            );
-        }
-        let size_after_mono = vgl_ir::measure(&compiled);
-        trace.set_items_out("mono", size_after_mono.expr_nodes);
-        let norm = trace.time(
-            "normalize",
-            size_after_mono.expr_nodes,
-            || vgl_passes::normalize_cfg(&mut compiled, &backend_cfg, &mut backend),
-            |_| 0,
-        );
-        let size_after_norm = vgl_ir::measure(&compiled);
-        trace.set_items_out("normalize", size_after_norm.expr_nodes);
-
-        // Post-normalize is the reuse horizon: id spaces are final, bodies
-        // are in tuple normal form, and both keys are well-defined.
-        let ctx = context_digest(&compiled);
-        let n = compiled.methods.len();
-        let mut memo: HashMap<(u64, u64), Option<Arc<CachedFunc>>> = HashMap::new();
-        let mut fps = Vec::with_capacity(n);
-        let mut hits = Vec::with_capacity(n);
-        for m in &compiled.methods {
-            let fp = cache::method_fingerprint(m);
-            // Memoized per fingerprint so duplicate instances (equal
-            // fingerprint, different name) always agree — the optimizer's
-            // skip mask must be duplicate-consistent even if the store
-            // evicts between two lookups.
-            let hit = memo
-                .entry(fp)
-                .or_insert_with(|| self.funcs.get(&FuncKey { ctx, fp, opts: self.opts_key }))
-                .clone();
-            fps.push(fp);
-            hits.push(hit);
-        }
-        let mut mask = vec![false; n];
-        for (i, h) in hits.iter().enumerate() {
-            if let Some(c) = h {
-                mask[i] = true;
-                compiled.methods[i].body.clone_from(&c.opt_body);
-                compiled.methods[i].locals.clone_from(&c.opt_locals);
-            }
-        }
-        let spliced = mask.iter().filter(|&&b| b).count();
-        self.methods_spliced.fetch_add(spliced, Ordering::Relaxed);
-        self.methods_compiled.fetch_add(n - spliced, Ordering::Relaxed);
-
-        let opt = trace.time(
-            "optimize",
-            size_after_norm.expr_nodes,
-            || {
-                if o.optimize {
-                    vgl_passes::optimize_cfg_masked(
-                        &mut compiled,
-                        &backend_cfg,
-                        &mut backend,
-                        Some(&mask),
-                    )
-                } else {
-                    OptStats::default()
-                }
-            },
-            |_| 0,
-        );
-        if o.validate_ir {
-            let violations = vgl_ir::check_normalized(&compiled);
-            assert!(
-                violations.is_empty(),
-                "internal compiler error: pipeline broke tuple normal form:\n{}",
-                render_violations(&violations)
-            );
-        }
-        let size_after = vgl_ir::measure(&compiled);
-        trace.set_items_out("optimize", size_after.expr_nodes);
-
-        let do_fuse = o.fuse && !o.tier;
-        let plan = ReusePlan {
-            funcs: hits.iter().map(|h| h.as_ref().map(|c| c.splice.clone())).collect(),
-        };
-        let (program, fuse, captures) = trace.time(
-            "lower",
-            size_after.expr_nodes,
-            || vgl_vm::lower_fuse_incremental(&compiled, Some(&plan), do_fuse),
-            |(p, _, _)| p.code_size(),
-        );
-        if o.validate_ir {
-            let violations = vgl_vm::check_fused(&program);
-            assert!(
-                violations.is_empty(),
-                "internal compiler error: bytecode back end broke a VM invariant:\n{}",
-                render_violations(&violations)
-            );
-        }
-
-        // Publish what this compile produced. Insert is content-addressed
-        // first-writer-wins, so racing compiles of equal methods share one
-        // entry; duplicate instances collapse onto their representative's
-        // key by fingerprint equality.
-        for (i, cap) in captures.into_iter().enumerate() {
-            let Some(cap) = cap else { continue };
-            self.funcs.insert(
-                FuncKey { ctx, fp: fps[i], opts: self.opts_key },
-                CachedFunc {
-                    opt_body: compiled.methods[i].body.clone(),
-                    opt_locals: compiled.methods[i].locals.clone(),
-                    splice: Arc::new(cap),
-                },
-            );
-        }
-
-        let dur = |name: &str| {
-            trace
-                .phases
-                .iter()
-                .find(|p| p.name == name)
-                .map(|p| p.duration)
-                .unwrap_or_default()
-        };
-        let times =
-            PassTimes { mono: dur("mono"), norm: dur("normalize"), opt: dur("optimize") };
-        trace.workers = backend.workers.clone();
-        Ok(Compilation {
-            options: o,
-            module,
-            compiled,
-            program,
-            fuse,
-            backend,
-            stats: PipelineStats {
-                mono,
-                norm,
-                opt,
-                size_before,
-                size_after_mono,
-                size_after,
-                times,
-            },
-            trace,
-        })
     }
 }
 
@@ -458,6 +396,115 @@ mod tests {
         let cold = mk().compile(EDITED).expect("compiles");
         assert_eq!(program_bytes(&warm), program_bytes(&cold));
         assert!(inc.stats().methods_spliced > 0);
+    }
+
+    #[test]
+    fn warm_compiles_report_the_same_phases_as_cold_ones() {
+        let names = |c: &Compilation| c.trace.phases.iter().map(|p| p.name).collect::<Vec<_>>();
+        for mk in [Compiler::new, || Compiler::new().with_fuse()] {
+            let inc = IncrementalCompiler::new(mk());
+            inc.compile(BASE).expect("compiles");
+            let warm = inc.compile(EDITED).expect("compiles");
+            assert!(inc.stats().methods_spliced > 0, "the second compile must be warm");
+            let cold = mk().compile(EDITED).expect("compiles");
+            assert_eq!(names(&warm), names(&cold));
+        }
+    }
+
+    /// Histories per lane run, and edits per history.
+    const LANE_HISTORIES: u64 = 64;
+    const LANE_EDITS: usize = 10;
+
+    /// Level-2 capacity for the lane: a few programs' worth, so histories
+    /// evict each other's entries.
+    const LANE_FUNC_CAPACITY: usize = 48;
+
+    /// The edit-history oracle lane: drives `inc` through seeded histories
+    /// and holds every step to a cold compile of the same source — same
+    /// disassembly, same module fingerprint, same run. Returns the first
+    /// divergence (a panicking warm compile counts).
+    fn edit_history_lane(inc: &IncrementalCompiler, mk: fn() -> Compiler) -> Result<(), String> {
+        for seed in 0..LANE_HISTORIES {
+            for (k, step) in vgl_fuzz::edits::history(seed, LANE_EDITS).iter().enumerate() {
+                let at = format!("history {seed} step {k} ({:?})", step.edit);
+                let cold = mk().compile(&step.source).map_err(|e| format!("{at}: {e}"))?;
+                let warm = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                    inc.compile(&step.source)
+                }))
+                .map_err(|_| format!("{at}: warm compile panicked"))?
+                .map_err(|e| format!("{at}: {e}"))?;
+                if vgl_vm::disasm(&warm.program) != vgl_vm::disasm(&cold.program) {
+                    return Err(format!("{at}: disassembly differs\n{}", step.source));
+                }
+                if vgl_passes::module_fingerprint(&warm.compiled)
+                    != vgl_passes::module_fingerprint(&cold.compiled)
+                {
+                    return Err(format!("{at}: module fingerprint differs"));
+                }
+                let (w, c) = (warm.execute(), cold.execute());
+                if (&w.result, &w.output) != (&c.result, &c.output) {
+                    return Err(format!("{at}: run differs: {w:?} vs {c:?}"));
+                }
+            }
+        }
+        Ok(())
+    }
+
+    #[test]
+    fn edit_histories_match_cold_compiles() {
+        for mk in [Compiler::new as fn() -> Compiler, || Compiler::new().with_fuse()] {
+            let inc = IncrementalCompiler::with_capacity(mk(), 4, LANE_FUNC_CAPACITY);
+            edit_history_lane(&inc, mk).unwrap();
+            let st = inc.stats();
+            assert!(st.methods_spliced > 0 && st.funcs.evictions > 0, "{st:?}");
+        }
+    }
+
+    /// Deliberate soundness bugs for the lane's bite test, each caught
+    /// within the pinned budget.
+    #[derive(Clone, Copy, Debug)]
+    pub(super) enum Weaken {
+        Nothing,
+        /// Key entries without the module context digest.
+        Context,
+        /// Key entries by the method's own fingerprint, blind to the
+        /// callee bodies the optimizer inlines.
+        Callees,
+        /// Splice callees whose inline form optimization changes.
+        Inlines,
+    }
+
+    impl Weaken {
+        pub(super) fn apply(
+            self,
+            module: &Module,
+            (ctx, fps): ((u64, u64), Vec<(u64, u64)>),
+        ) -> ((u64, u64), Vec<(u64, u64)>) {
+            match self {
+                Weaken::Nothing | Weaken::Inlines => (ctx, fps),
+                Weaken::Context => ((0, 0), fps),
+                Weaken::Callees => {
+                    (ctx, module.methods.iter().map(vgl_passes::cache::method_fingerprint).collect())
+                }
+            }
+        }
+
+        pub(super) fn skip_inline_check(self, fresh: &mut Vec<usize>) {
+            if let Weaken::Inlines = self {
+                fresh.clear();
+            }
+        }
+    }
+
+    #[test]
+    fn edit_history_lane_bites_weakened_reuse() {
+        for weaken in [Weaken::Context, Weaken::Callees, Weaken::Inlines] {
+            let mut inc =
+                IncrementalCompiler::with_capacity(Compiler::new(), 4, LANE_FUNC_CAPACITY);
+            inc.funcs.weaken = weaken;
+            let caught = edit_history_lane(&inc, Compiler::new);
+            assert!(caught.is_err(), "the lane missed reuse with {weaken:?} weakened");
+        }
     }
 
     #[test]

@@ -61,6 +61,7 @@ pub use vgl_vm::{
 pub use vgl_fuzz as fuzz;
 
 pub use incremental::{IncrementalCompiler, IncrementalStats};
+use incremental::FuncStore;
 
 /// A compilation failure: rendered diagnostics.
 #[derive(Clone, Debug)]
@@ -227,39 +228,35 @@ impl Compiler {
     /// # Errors
     /// Returns every parse and type error with rendered positions.
     pub fn compile(&self, source: &str) -> Result<Compilation, CompileError> {
-        self.compile_traced(source, &mut Tracer::disabled())
+        self.compile_staged(source, None)
     }
 
-    /// [`Compiler::compile`], emitting one span per phase (lex, parse, sema,
-    /// mono, normalize, optimize, lower) into `tracer`. The same samples are
-    /// kept on the returned [`Compilation::trace`] either way, so a disabled
-    /// tracer only skips the sink writes, not the timing.
-    ///
-    /// # Errors
-    /// Returns every parse and type error with rendered positions.
-    pub fn compile_traced(
+    /// The one staged compile driver: lex → parse → sema → mono →
+    /// normalize → optimize → lower → fuse, each phase timed into
+    /// [`Compilation::trace`]. `reuse` is the incremental hook, applied at
+    /// three points: post-normalize it digests, fingerprints, looks up and
+    /// splices (yielding the optimizer's skip mask and the lowering's
+    /// [`vgl_vm::ReusePlan`]); lowering splices the planned methods; after
+    /// fusion it publishes what this compile produced. With `None` the
+    /// hook does nothing — no digest, fingerprint, demand log or capture.
+    pub(crate) fn compile_staged(
         &self,
         source: &str,
-        tracer: &mut Tracer<'_>,
+        reuse: Option<&FuncStore>,
     ) -> Result<Compilation, CompileError> {
+        let o = self.options;
         let mut trace = PhaseTrace::new();
-        // Lexing is timed on a scratch pass (the parser re-lexes internally;
-        // lexing is linear and cheap, so the duplication is negligible).
-        let token_count = {
-            let mut scratch = Diagnostics::new();
-            trace.time(
-                "lex",
-                source.len(),
-                || vgl_syntax::lexer::lex(source, &mut scratch),
-                Vec::len,
-            )
-            .len()
-        };
         let mut diags = Diagnostics::new();
+        let tokens = trace.time(
+            "lex",
+            source.len(),
+            || vgl_syntax::lexer::lex(source, &mut diags),
+            Vec::len,
+        );
         let ast = trace.time(
             "parse",
-            token_count,
-            || vgl_syntax::parse_program(source, &mut diags),
+            tokens.len(),
+            || vgl_syntax::parse_tokens(source, tokens, &mut diags),
             |p| p.decls.len(),
         );
         if diags.has_errors() {
@@ -275,14 +272,11 @@ impl Compiler {
         // streamed hashing, normalize, optimize, and fuse. No knob changes
         // output.
         let backend_cfg = BackendConfig {
-            jobs: vgl_passes::sched::resolve_jobs(self.options.jobs),
-            cache: self.options.pass_cache,
+            jobs: vgl_passes::sched::resolve_jobs(o.jobs),
+            cache: o.pass_cache,
             chunking: true,
         };
         let mut backend = BackendReport { jobs: backend_cfg.jobs, ..BackendReport::default() };
-        // Pipeline: mono → norm → (opt). With the cache on, mono streams
-        // finished instances to hash workers so the duplicate map is ready
-        // for normalize the moment it returns.
         // Each `vgl_ir::measure` is a full IR walk, so every size below is
         // computed exactly once and threaded into both the trace and the
         // pipeline stats.
@@ -294,12 +288,10 @@ impl Compiler {
             || vgl_passes::monomorphize_cfg(&module, &backend_cfg, &mut backend),
             |_| 0,
         );
-        if self.options.validate_ir {
-            let violations = vgl_ir::check_monomorphic(&compiled);
-            assert!(
-                violations.is_empty(),
-                "internal compiler error: monomorphization left polymorphism behind:\n{}",
-                render_violations(&violations)
+        if o.validate_ir {
+            assert_valid(
+                "monomorphization left polymorphism behind",
+                &vgl_ir::check_monomorphic(&compiled),
             );
         }
         let size_after_mono = vgl_ir::measure(&compiled);
@@ -312,43 +304,46 @@ impl Compiler {
         );
         let size_after_norm = vgl_ir::measure(&compiled);
         trace.set_items_out("normalize", size_after_norm.expr_nodes);
+        // Post-normalize is the reuse horizon: id spaces are final, bodies
+        // are in tuple normal form, and both store keys are well-defined.
+        let splice = reuse.map(|store| store.splice(&mut compiled));
+        let skip = splice.as_ref().map(|s| s.skip.as_slice());
         let opt = trace.time(
             "optimize",
             size_after_norm.expr_nodes,
             || {
-                if self.options.optimize {
-                    vgl_passes::optimize_cfg(&mut compiled, &backend_cfg, &mut backend)
+                if o.optimize {
+                    vgl_passes::optimize_cfg_masked(&mut compiled, &backend_cfg, &mut backend, skip)
                 } else {
                     OptStats::default()
                 }
             },
             |_| 0,
         );
-        if self.options.validate_ir {
-            let violations = vgl_ir::check_normalized(&compiled);
-            assert!(
-                violations.is_empty(),
-                "internal compiler error: pipeline broke tuple normal form:\n{}",
-                render_violations(&violations)
+        if o.validate_ir {
+            assert_valid(
+                "pipeline broke tuple normal form",
+                &vgl_ir::check_normalized(&compiled),
             );
         }
         let size_after = vgl_ir::measure(&compiled);
         trace.set_items_out("optimize", size_after.expr_nodes);
-        let mut program = trace.time(
+        let (mut program, captures) = trace.time(
             "lower",
             size_after.expr_nodes,
-            || vgl_vm::lower(&compiled),
-            vgl_vm::VmProgram::code_size,
+            || vgl_vm::lower_incremental(&compiled, splice.as_ref().map(|s| &s.plan)),
+            |(p, _)| p.code_size(),
         );
         // Under tiering the baseline tier *is* the unfused code — hot
         // functions re-fuse themselves at run time from their own profile,
         // so the static whole-program pass would only blur the comparison.
-        let fuse = if self.options.fuse && !self.options.tier {
+        let fuse = if o.fuse && !o.tier {
             let stats = trace.time(
                 "fuse",
                 program.code_size(),
                 || {
-                    let (stats, workers) = vgl_vm::fuse_cfg(&mut program, &backend_cfg);
+                    let (stats, workers) =
+                        vgl_vm::fuse_cfg_masked(&mut program, &backend_cfg, skip);
                     backend.workers.extend(workers);
                     stats
                 },
@@ -359,13 +354,14 @@ impl Compiler {
         } else {
             vgl_vm::FuseStats::default()
         };
-        if self.options.validate_ir {
-            let violations = vgl_vm::check_fused(&program);
-            assert!(
-                violations.is_empty(),
-                "internal compiler error: bytecode back end broke a VM invariant:\n{}",
-                render_violations(&violations)
+        if o.validate_ir {
+            assert_valid(
+                "bytecode back end broke a VM invariant",
+                &vgl_vm::check_fused(&program),
             );
+        }
+        if let (Some(store), Some(splice)) = (reuse, splice) {
+            store.publish(splice, &compiled, &program, captures);
         }
         let dur = |name: &str| {
             trace
@@ -378,11 +374,8 @@ impl Compiler {
         let times =
             PassTimes { mono: dur("mono"), norm: dur("normalize"), opt: dur("optimize") };
         trace.workers = backend.workers.clone();
-        if tracer.enabled() {
-            trace.emit(tracer);
-        }
         Ok(Compilation {
-            options: self.options,
+            options: o,
             module,
             compiled,
             program,
@@ -402,12 +395,18 @@ impl Compiler {
     }
 }
 
-pub(crate) fn render_violations(violations: &[vgl_ir::Violation]) -> String {
-    violations
-        .iter()
-        .map(|v| format!("  {}: {}", v.location, v.message))
-        .collect::<Vec<_>>()
-        .join("\n")
+/// Panics with an internal-compiler-error report when a validator found
+/// violations ([`Options::validate_ir`]).
+fn assert_valid(what: &str, violations: &[vgl_ir::Violation]) {
+    assert!(
+        violations.is_empty(),
+        "internal compiler error: {what}:\n{}",
+        violations
+            .iter()
+            .map(|v| format!("  {}: {}", v.location, v.message))
+            .collect::<Vec<_>>()
+            .join("\n")
+    );
 }
 
 /// The result of [`Compiler::check`]: every front-end diagnostic for one
@@ -595,227 +594,26 @@ impl Compilation {
     /// Runs the compiled program on the VM — the "native target" with the
     /// scalar calling convention and the generational collector.
     pub fn execute(&self) -> RunOutcome {
-        let mut vm = Vm::with_heap_config(
-            &self.program,
-            self.options.heap_slots,
-            self.options.nursery_slots,
-        );
-        if self.options.tier {
-            vm.enable_tiering(self.options.tier_threshold);
+        run_vm(&mut self.vm())
+    }
+
+    /// The VM [`Compilation::execute`] runs: this program on a heap of
+    /// [`Options::heap_slots`] with an [`Options::nursery_slots`] nursery,
+    /// tiered when [`Options::tier`] is set, and limited to
+    /// [`Options::fuel`]. Attach recorders with the `Vm::enable_*` methods
+    /// (opcode profile, hotness, trace log, flight recorder — observers
+    /// never change the run), run it with [`run_vm`], then read them back
+    /// with the matching `Vm::take_*` accessors.
+    pub fn vm(&self) -> Vm<'_> {
+        let o = &self.options;
+        let mut vm = Vm::with_heap_config(&self.program, o.heap_slots, o.nursery_slots);
+        if o.tier {
+            vm.enable_tiering(o.tier_threshold);
         }
-        if let Some(f) = self.options.fuel {
+        if let Some(f) = o.fuel {
             vm.set_fuel(f);
         }
-        let result = match vm.run() {
-            Ok(words) => Ok(display_words(&words)),
-            Err(e) => Err(e.to_string()),
-        };
-        RunOutcome {
-            result,
-            output: vm.output(),
-            interp_stats: None,
-            vm_stats: Some(vm.stats),
-        }
-    }
-
-    /// [`Compilation::execute`] with VM profiling enabled: also returns the
-    /// per-opcode retired-instruction histogram and the GC event log.
-    pub fn execute_profiled(&self) -> (RunOutcome, VmProfile) {
-        let mut vm = Vm::with_heap_config(
-            &self.program,
-            self.options.heap_slots,
-            self.options.nursery_slots,
-        );
-        if self.options.tier {
-            vm.enable_tiering(self.options.tier_threshold);
-        }
-        vm.enable_profiling();
-        if let Some(f) = self.options.fuel {
-            vm.set_fuel(f);
-        }
-        let result = match vm.run() {
-            Ok(words) => Ok(display_words(&words)),
-            Err(e) => Err(e.to_string()),
-        };
-        let outcome = RunOutcome {
-            result,
-            output: vm.output(),
-            interp_stats: None,
-            vm_stats: Some(vm.stats),
-        };
-        let profile = vm.take_profile().unwrap_or_default();
-        (outcome, profile)
-    }
-
-    /// [`Compilation::execute`] with **only** the hotness profiler enabled,
-    /// in its default sampling mode — the low-overhead production
-    /// configuration `bench_obs` gates: call counters plus back-edge ticks,
-    /// no per-return accounting, no per-opcode histogram.
-    pub fn execute_hotness_profiled(&self) -> (RunOutcome, RuntimeProfile) {
-        self.execute_hotness(false)
-    }
-
-    /// [`Compilation::execute_hotness_profiled`] in precise mode: exact
-    /// inclusive/exclusive retired-instruction accounting at every frame
-    /// exit. Costs more (`bench_obs` reports it ungated); `vglc stats` and
-    /// `vglc profile` use it for offline analysis.
-    pub fn execute_hotness_profiled_precise(&self) -> (RunOutcome, RuntimeProfile) {
-        self.execute_hotness(true)
-    }
-
-    fn execute_hotness(&self, precise: bool) -> (RunOutcome, RuntimeProfile) {
-        let mut vm = Vm::with_heap_config(
-            &self.program,
-            self.options.heap_slots,
-            self.options.nursery_slots,
-        );
-        if self.options.tier {
-            vm.enable_tiering(self.options.tier_threshold);
-        }
-        if precise {
-            vm.enable_runtime_profiling_precise();
-        } else {
-            vm.enable_runtime_profiling();
-        }
-        if let Some(f) = self.options.fuel {
-            vm.set_fuel(f);
-        }
-        let result = match vm.run() {
-            Ok(words) => Ok(display_words(&words)),
-            Err(e) => Err(e.to_string()),
-        };
-        let outcome = RunOutcome {
-            result,
-            output: vm.output(),
-            interp_stats: None,
-            vm_stats: Some(vm.stats),
-        };
-        let hotness = vm.take_runtime_profile().unwrap_or_default();
-        (outcome, hotness)
-    }
-
-    /// [`Compilation::execute_profiled`] plus the deterministic per-function
-    /// hotness profile (calls, back-edge ticks, inclusive/exclusive retired
-    /// instructions) — everything `vglc profile` and `vglc stats --json`
-    /// report.
-    pub fn execute_profiled_full(&self) -> (RunOutcome, VmProfile, RuntimeProfile) {
-        let mut vm = Vm::with_heap_config(
-            &self.program,
-            self.options.heap_slots,
-            self.options.nursery_slots,
-        );
-        if self.options.tier {
-            vm.enable_tiering(self.options.tier_threshold);
-        }
-        vm.enable_profiling();
-        vm.enable_runtime_profiling_precise();
-        if let Some(f) = self.options.fuel {
-            vm.set_fuel(f);
-        }
-        let result = match vm.run() {
-            Ok(words) => Ok(display_words(&words)),
-            Err(e) => Err(e.to_string()),
-        };
-        let outcome = RunOutcome {
-            result,
-            output: vm.output(),
-            interp_stats: None,
-            vm_stats: Some(vm.stats),
-        };
-        let profile = vm.take_profile().unwrap_or_default();
-        let hotness = vm.take_runtime_profile().unwrap_or_default();
-        (outcome, profile, hotness)
-    }
-
-    /// [`Compilation::execute`] with the wall-clock trace log enabled: the
-    /// returned [`TraceLog`] carries per-function spans and GC instants,
-    /// ready for [`chrome::chrome_trace`](crate::chrome::chrome_trace).
-    pub fn execute_traced(&self) -> (RunOutcome, TraceLog) {
-        let mut vm = Vm::with_heap_config(
-            &self.program,
-            self.options.heap_slots,
-            self.options.nursery_slots,
-        );
-        if self.options.tier {
-            vm.enable_tiering(self.options.tier_threshold);
-        }
-        vm.enable_trace_log(1 << 18);
-        if let Some(f) = self.options.fuel {
-            vm.set_fuel(f);
-        }
-        let result = match vm.run() {
-            Ok(words) => Ok(display_words(&words)),
-            Err(e) => Err(e.to_string()),
-        };
-        let outcome = RunOutcome {
-            result,
-            output: vm.output(),
-            interp_stats: None,
-            vm_stats: Some(vm.stats),
-        };
-        let log = vm.take_trace_log().unwrap_or_else(|| TraceLog::new(1));
-        (outcome, log)
-    }
-
-    /// [`Compilation::execute`] with the crash flight recorder on
-    /// (`vglc run --flight-record`): returns the run plus the rendered dump
-    /// of the last `capacity` runtime events, when anything was recorded.
-    pub fn execute_flight_recorded(&self, capacity: usize) -> (RunOutcome, Option<String>) {
-        let mut vm = Vm::with_heap_config(
-            &self.program,
-            self.options.heap_slots,
-            self.options.nursery_slots,
-        );
-        if self.options.tier {
-            vm.enable_tiering(self.options.tier_threshold);
-        }
-        vm.enable_flight_recorder(capacity);
-        if let Some(f) = self.options.fuel {
-            vm.set_fuel(f);
-        }
-        let result = match vm.run() {
-            Ok(words) => Ok(display_words(&words)),
-            Err(e) => Err(e.to_string()),
-        };
-        let dump = vm.flight_dump();
-        let outcome = RunOutcome {
-            result,
-            output: vm.output(),
-            interp_stats: None,
-            vm_stats: Some(vm.stats),
-        };
-        (outcome, dump)
-    }
-
-    /// Runs the program with tiering **forced on** (regardless of
-    /// [`Options::tier`]) and renders the `vglc disasm --tiered` view:
-    /// every function that tiered up, baseline and hot-tier bodies side by
-    /// side, guard sites annotated, megamorphic sites listed.
-    pub fn execute_tiered_disasm(&self) -> (RunOutcome, String) {
-        let mut vm = Vm::with_heap_config(
-            &self.program,
-            self.options.heap_slots,
-            self.options.nursery_slots,
-        );
-        vm.enable_tiering(self.options.tier_threshold);
-        if let Some(f) = self.options.fuel {
-            vm.set_fuel(f);
-        }
-        let result = match vm.run() {
-            Ok(words) => Ok(display_words(&words)),
-            Err(e) => Err(e.to_string()),
-        };
-        let view = vm
-            .tier_state()
-            .map(|t| vgl_vm::tiered_view(&self.program, t))
-            .unwrap_or_default();
-        let outcome = RunOutcome {
-            result,
-            output: vm.output(),
-            interp_stats: None,
-            vm_stats: Some(vm.stats),
-        };
-        (outcome, view)
+        vm
     }
 
     /// Code expansion ratio due to monomorphization (E4): IR nodes after
@@ -828,6 +626,16 @@ impl Compilation {
     pub fn code_size(&self) -> usize {
         self.program.code_size()
     }
+}
+
+/// Runs `vm` (global initializers, then `main`) and packages the result,
+/// the captured output, and the VM counters.
+pub fn run_vm(vm: &mut Vm<'_>) -> RunOutcome {
+    let result = match vm.run() {
+        Ok(words) => Ok(display_words(&words)),
+        Err(e) => Err(e.to_string()),
+    };
+    RunOutcome { result, output: vm.output(), interp_stats: None, vm_stats: Some(vm.stats) }
 }
 
 fn display_words(words: &[vgl_runtime::Word]) -> String {

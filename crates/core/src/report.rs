@@ -13,8 +13,9 @@ use vgl_obs::json::Json;
 /// Builds the full report for one compiled program.
 ///
 /// `interp` and `vm` are outcomes from the respective engines (either may be
-/// omitted); `profile` and `hotness` are the VM profiles from
-/// [`Compilation::execute_profiled_full`].
+/// omitted); `profile` and `hotness` are the VM's opcode profile and
+/// precise hotness profile (`Vm::enable_profiling` and
+/// `Vm::enable_runtime_profiling_precise` on [`Compilation::vm`]).
 pub fn stats_json(
     c: &Compilation,
     interp: Option<&RunOutcome>,
@@ -274,7 +275,11 @@ mod tests {
             )
             .expect("compiles");
         let i = c.interpret();
-        let (v, prof, hot) = c.execute_profiled_full();
+        let mut vm = c.vm();
+        vm.enable_profiling();
+        vm.enable_runtime_profiling_precise();
+        let v = crate::run_vm(&mut vm);
+        let (prof, hot) = (vm.take_profile().unwrap(), vm.take_runtime_profile().unwrap());
         let j = stats_json(&c, Some(&i), Some(&v), Some(&prof), Some(&hot));
         let text = j.render();
         let back = vgl_obs::json::parse(&text).expect("valid json");

@@ -22,12 +22,17 @@
 //! - [`chaos`] corrupts the generated programs (token surgery, byte splices,
 //!   truncation, nesting amplifiers) and asserts the pipeline rejects bad
 //!   input with diagnostics instead of panicking — the crash-fuzzing lane
-//!   behind `vglc fuzz --chaos`.
+//!   behind `vglc fuzz --chaos`;
+//! - [`edits`] generates seeded edit histories (body changes, added and
+//!   removed methods, field-type and type-argument changes, renames,
+//!   reorders) for the incremental compiler's edit-history lane, which
+//!   holds every warm compile to the bytes of a cold one.
 //!
 //! Entry points: [`run_fuzz`] and [`run_chaos`] (used by `vglc fuzz` and CI), or the modules
 //! directly for property tests.
 
 pub mod chaos;
+pub mod edits;
 pub mod gen;
 pub mod oracle;
 pub mod protocol;

@@ -103,6 +103,94 @@ pub fn method_fingerprint(m: &Method) -> (u64, u64) {
     (h.a, h.b)
 }
 
+/// Every method's direct callees, sorted: static call targets, plus every
+/// implementation in any vtable at the slot a virtual call names (a
+/// superset of what devirtualization can bind it to). These are the
+/// methods whose inline forms the optimizer reads when it rewrites the
+/// caller.
+pub fn call_graph(module: &Module) -> Vec<Vec<usize>> {
+    use vgl_ir::ExprKind;
+    let slots = module.classes.iter().map(|c| c.vtable.len()).max().unwrap_or(0);
+    let mut by_slot: Vec<Vec<usize>> = vec![Vec::new(); slots];
+    for c in &module.classes {
+        for (slot, m) in c.vtable.iter().enumerate() {
+            by_slot[slot].push(m.index());
+        }
+    }
+    module
+        .methods
+        .iter()
+        .map(|m| {
+            let mut out = Vec::new();
+            if let Some(body) = &m.body {
+                vgl_ir::visit::for_each_expr(body, &mut |e| match &e.kind {
+                    ExprKind::CallStatic { method, .. } => out.push(method.index()),
+                    ExprKind::CallVirtual { method, .. } => {
+                        out.push(method.index());
+                        if let Some(slot) = module.methods[method.index()].vtable_index {
+                            out.extend(by_slot.get(slot).into_iter().flatten());
+                        }
+                    }
+                    _ => {}
+                });
+            }
+            out.sort_unstable();
+            out.dedup();
+            out
+        })
+        .collect()
+}
+
+/// [`method_fingerprint`] of every method, extended over the bodies its
+/// optimization reads. The optimizer inlines small leaf callees at direct
+/// call sites — devirtualized ones included — and whether a callee is a
+/// leaf depends on what *it* inlined, so a method's post-optimize body
+/// depends on every method reachable through its [`call_graph`] edges.
+/// Each result hashes the method's own fingerprint with those of
+/// everything it reaches, so an edit to a callee changes every caller's
+/// key. Meaningful only alongside an equal [`context_digest`], which pins
+/// the method ids the reach sets are expressed in.
+pub fn reuse_fingerprints(module: &Module, calls: &[Vec<usize>]) -> Vec<(u64, u64)> {
+    use std::hash::Hash;
+    let own: Vec<(u64, u64)> = module.methods.iter().map(method_fingerprint).collect();
+    let mut seen = vec![usize::MAX; own.len()];
+    let mut stack = Vec::new();
+    (0..own.len())
+        .map(|i| {
+            let mut reach = Vec::new();
+            stack.push(i);
+            seen[i] = i;
+            while let Some(j) = stack.pop() {
+                for &k in &calls[j] {
+                    if seen[k] != i {
+                        seen[k] = i;
+                        reach.push(k);
+                        stack.push(k);
+                    }
+                }
+            }
+            reach.sort_unstable();
+            let mut h = FingerprintHasher::new();
+            own[i].hash(&mut h);
+            for k in reach {
+                (k, own[k]).hash(&mut h);
+            }
+            (h.a, h.b)
+        })
+        .collect()
+}
+
+/// 128-bit hash of the form a call to method `i` inlines as
+/// ([`crate::inline_candidate`]), `None` when `i` is not an inline
+/// candidate.
+pub fn inline_fingerprint(module: &Module, i: usize) -> Option<(u64, u64)> {
+    use std::hash::Hash;
+    let e = crate::inline_candidate(module, i)?;
+    let mut h = FingerprintHasher::new();
+    (module.methods[i].param_count, e).hash(&mut h);
+    Some((h.a, h.b))
+}
+
 /// A single 64-bit content hash of a whole module — classes, methods
 /// (names included this time), globals, and entry point. Used by the
 /// determinism suite to compare `--jobs 1` vs `--jobs 8` compiles beyond

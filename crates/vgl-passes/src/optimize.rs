@@ -238,50 +238,55 @@ struct InlineBody {
 
 /// Finds single-return leaf methods whose body references only parameters.
 fn build_inline_table(module: &Module) -> Vec<Option<InlineBody>> {
-    module
-        .methods
-        .iter()
-        .enumerate()
-        .map(|(i, m)| {
-            if module.main == Some(MethodId(i as u32)) {
-                return None;
-            }
-            let body = m.body.as_ref()?;
-            let [Stmt::Return(Some(e))] = body.stmts.as_slice() else {
-                return None;
-            };
-            // Multi-value returns are a boundary form (Return(Tuple)); they
-            // cannot be spliced into expression position.
-            if matches!(e.kind, ExprKind::Tuple(_))
-                || matches!(module.store.kind(e.ty), TypeKind::Tuple(_))
-            {
-                return None;
-            }
-            let mut nodes = 0;
-            let mut ok = true;
-            count_expr(e, &mut |x: &Expr| {
-                nodes += 1;
-                match &x.kind {
-                    // No nested calls (keeps inlining one level and cheap),
-                    // no local writes, no Lets.
-                    ExprKind::CallStatic { .. }
-                    | ExprKind::CallVirtual { .. }
-                    | ExprKind::CallClosure { .. }
-                    | ExprKind::CallBuiltin(..)
-                    | ExprKind::New { .. }
-                    | ExprKind::LocalSet(..)
-                    | ExprKind::GlobalSet(..)
-                    | ExprKind::Let { .. } => ok = false,
-                    ExprKind::Local(l) if l.index() >= m.param_count => ok = false,
-                    _ => {}
-                }
-            });
-            if !ok || nodes > INLINE_LIMIT {
-                return None;
-            }
-            Some(InlineBody { param_count: m.param_count, expr: e.clone() })
+    (0..module.methods.len())
+        .map(|i| {
+            let expr = inline_candidate(module, i)?.clone();
+            Some(InlineBody { param_count: module.methods[i].param_count, expr })
         })
         .collect()
+}
+
+/// The expression a direct call to method `i` is inlined as, when `i` is
+/// an inline candidate: not `main`, and a body of one `return e` where `e`
+/// is a single value of at most `INLINE_LIMIT` (16) nodes that reads only the
+/// parameters — no calls, allocations, local or global writes, or `Let`s.
+/// Folding only shrinks such an expression, so a method that is a
+/// candidate stays one for the rest of the fixpoint.
+pub fn inline_candidate(module: &Module, i: usize) -> Option<&Expr> {
+    let m = &module.methods[i];
+    if module.main == Some(MethodId(i as u32)) {
+        return None;
+    }
+    let body = m.body.as_ref()?;
+    let [Stmt::Return(Some(e))] = body.stmts.as_slice() else {
+        return None;
+    };
+    // Multi-value returns are a boundary form (Return(Tuple)); they
+    // cannot be spliced into expression position.
+    if matches!(e.kind, ExprKind::Tuple(_)) || matches!(module.store.kind(e.ty), TypeKind::Tuple(_))
+    {
+        return None;
+    }
+    let mut nodes = 0;
+    let mut ok = true;
+    count_expr(e, &mut |x: &Expr| {
+        nodes += 1;
+        match &x.kind {
+            // No nested calls (keeps inlining one level and cheap), no
+            // local writes, no Lets.
+            ExprKind::CallStatic { .. }
+            | ExprKind::CallVirtual { .. }
+            | ExprKind::CallClosure { .. }
+            | ExprKind::CallBuiltin(..)
+            | ExprKind::New { .. }
+            | ExprKind::LocalSet(..)
+            | ExprKind::GlobalSet(..)
+            | ExprKind::Let { .. } => ok = false,
+            ExprKind::Local(l) if l.index() >= m.param_count => ok = false,
+            _ => {}
+        }
+    });
+    (ok && nodes <= INLINE_LIMIT).then_some(e)
 }
 
 fn count_expr(e: &Expr, f: &mut impl FnMut(&Expr)) {

@@ -5,7 +5,7 @@
 //! The workload is a 256-instance cache-hostile fan-out — every instance
 //! mentions its own class type, so the per-instance cache deduplicates
 //! nothing and parallelism is the only lever. We time the configured back
-//! half (streamed mono → normalize → optimize → joined lower+fuse) at
+//! half (streamed mono → normalize → optimize → lower → parallel fuse) at
 //! jobs = 1 and jobs = 8, min-of-3 trials after a warmup round, and require
 //! jobs = 8 to be at least 1.5× faster.
 //!
@@ -79,7 +79,8 @@ fn back_half(module: &vgl_ir::Module, jobs: usize) -> (Duration, String) {
     let (mut m, _) = vgl_passes::monomorphize_cfg(module, &cfg, &mut report);
     vgl_passes::normalize_cfg(&mut m, &cfg, &mut report);
     vgl_passes::optimize_cfg(&mut m, &cfg, &mut report);
-    let (prog, _, _) = vgl_vm::lower_fuse(&m, &cfg);
+    let mut prog = vgl_vm::lower(&m);
+    vgl_vm::fuse_cfg(&mut prog, &cfg);
     let elapsed = start.elapsed();
     (elapsed, vgl_vm::disasm(&prog))
 }

@@ -44,6 +44,14 @@ const STACK_SEGMENT_BYTES: usize = 16 << 20;
 
 fn new_parser<'a, 'd>(source: &'a str, diags: &'d mut Diagnostics) -> Parser<'a, 'd> {
     let tokens = lexer::lex(source, diags);
+    parser_over(source, tokens, diags)
+}
+
+fn parser_over<'a, 'd>(
+    source: &'a str,
+    tokens: Vec<Token>,
+    diags: &'d mut Diagnostics,
+) -> Parser<'a, 'd> {
     Parser {
         src: source,
         tokens,
@@ -59,7 +67,16 @@ fn new_parser<'a, 'd>(source: &'a str, diags: &'d mut Diagnostics) -> Parser<'a,
 /// program contains the declarations that parsed successfully, with
 /// [`ExprKind::Error`] placeholders where expressions failed to parse.
 pub fn parse_program(source: &str, diags: &mut Diagnostics) -> Program {
-    new_parser(source, diags).program()
+    let tokens = lexer::lex(source, diags);
+    parse_tokens(source, tokens, diags)
+}
+
+/// [`parse_program`] over a token stream already produced by
+/// [`lexer::lex`] for `source` (whose lexical diagnostics are already in
+/// `diags`), so a caller that times lexing parses the tokens it timed
+/// instead of lexing twice.
+pub fn parse_tokens(source: &str, tokens: Vec<Token>, diags: &mut Diagnostics) -> Program {
+    parser_over(source, tokens, diags).program()
 }
 
 /// Parses a single expression (used by tests and tools).

@@ -91,8 +91,10 @@ impl FuseStats {
     }
 }
 
-/// Runs the optimizer over every function in place and refreshes the static
-/// max-frame analysis ([`VmProgram::max_frame_regs`]).
+/// Runs the bytecode back-end pass — copy propagation, dead-register
+/// elimination, superinstruction fusion — over every function in place,
+/// serially, and refreshes the static max-frame analysis
+/// ([`VmProgram::max_frame_regs`]).
 ///
 /// # Panics
 /// Debug-asserts that the multiset of allocating instructions is unchanged
@@ -139,9 +141,25 @@ pub fn fuse_cfg(
     p: &mut VmProgram,
     cfg: &vgl_passes::BackendConfig,
 ) -> (FuseStats, Vec<vgl_obs::WorkerSample>) {
+    fuse_cfg_masked(p, cfg, None)
+}
+
+/// [`fuse_cfg`] with an external skip mask, mirroring
+/// `vgl_passes::optimize_cfg_masked`: functions with `skip[i]` true keep
+/// their code untouched, take no part in duplicate grouping, and add
+/// nothing to the statistics; indices past the mask's end are fused. The
+/// incremental compile path masks methods whose already-fused code was spliced
+/// in from the function store ([`crate::lower_incremental`]), so warm and
+/// cold compiles share one parallel fuser.
+pub fn fuse_cfg_masked(
+    p: &mut VmProgram,
+    cfg: &vgl_passes::BackendConfig,
+    skip: Option<&[bool]>,
+) -> (FuseStats, Vec<vgl_obs::WorkerSample>) {
     use std::collections::HashMap;
     use std::hash::{Hash, Hasher};
 
+    let skipped = |i: usize| skip.is_some_and(|s| s.get(i).copied().unwrap_or(false));
     let mut stats = FuseStats::default();
     let funcs = std::mem::take(&mut p.funcs);
     let n = funcs.len();
@@ -154,7 +172,7 @@ pub fn fuse_cfg(
                 && a.ret_count == b.ret_count
                 && a.code == b.code
         };
-        for (i, f) in funcs.iter().enumerate() {
+        for (i, f) in funcs.iter().enumerate().filter(|&(i, _)| !skipped(i)) {
             let mut h = std::collections::hash_map::DefaultHasher::new();
             (f.param_count, f.reg_count, f.ret_count).hash(&mut h);
             f.code.hash(&mut h);
@@ -165,7 +183,7 @@ pub fn fuse_cfg(
             }
         }
     }
-    let items: Vec<usize> = (0..n).filter(|&i| rep[i] == i).collect();
+    let items: Vec<usize> = (0..n).filter(|&i| rep[i] == i && !skipped(i)).collect();
     let run_item = |_: &mut (), _: usize, &i: &usize| {
         let mut f = funcs[i].clone();
         let mut st = FuseStats::default();
@@ -202,7 +220,9 @@ pub fn fuse_cfg(
     }
     p.funcs = Vec::with_capacity(n);
     for (i, original) in funcs.into_iter().enumerate() {
-        let f = if rep[i] == i {
+        let f = if skipped(i) {
+            original
+        } else if rep[i] == i {
             fused[i].take().expect("representative was fused")
         } else {
             // Representatives precede their duplicates, so the rep's fused
@@ -218,15 +238,15 @@ pub fn fuse_cfg(
     (stats, workers)
 }
 
-pub(crate) fn count_allocs(code: &[Instr]) -> usize {
+fn count_allocs(code: &[Instr]) -> usize {
     code.iter().filter(|i| i.allocates()).count()
 }
 
-pub(crate) fn count_ref_stores(code: &[Instr]) -> usize {
+fn count_ref_stores(code: &[Instr]) -> usize {
     code.iter().filter(|i| i.is_ref_store()).count()
 }
 
-pub(crate) fn fuse_func(f: &mut VmFunc, stats: &mut FuseStats) {
+fn fuse_func(f: &mut VmFunc, stats: &mut FuseStats) {
     copy_propagate(f, stats);
     // Iterate cleanup + fusion to a fixpoint: coalescing exposes dead
     // writes, `BinI` fusion exposes `CmpBrI`/`IncLocal` fusion, and so on.

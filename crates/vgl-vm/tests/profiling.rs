@@ -119,6 +119,32 @@ fn runtime_profiling_observes_not_perturbs() {
         again.runtime_profile(),
         "the runtime profile is deterministic"
     );
+
+    // Every recorder at once — opcode profile, precise hotness, trace log,
+    // flight recorder — on an untiered and on a tiered VM: each run matches
+    // the plain run of the same tier configuration.
+    for tier in [None, Some(4)] {
+        let vm = |observed: bool| {
+            let mut vm = Vm::with_heap(&program, 512);
+            if let Some(threshold) = tier {
+                vm.enable_tiering(threshold);
+            }
+            if observed {
+                vm.enable_profiling();
+                vm.enable_runtime_profiling_precise();
+                vm.enable_trace_log(1 << 12);
+                vm.enable_flight_recorder(64);
+            }
+            let r = vm.run().expect("runs");
+            let recorded = vm.profile().is_some()
+                && vm.runtime_profile().is_some()
+                && vm.flight().is_some_and(|f| !f.is_empty())
+                && vm.take_trace_log().is_some_and(|log| log.span_count() > 0);
+            assert_eq!(recorded, observed, "tier {tier:?}: recorders attached as asked");
+            (ret_as_int(&r), vm.output(), vm.stats.instrs, vm.stats.tier_ups)
+        };
+        assert_eq!(vm(false), vm(true), "tier {tier:?}: observers perturbed the run");
+    }
 }
 
 #[test]

@@ -62,7 +62,11 @@ fn examples_produce_valid_stats_reports() {
     for &(name, result, _) in GOLDEN {
         let c = vgl::Compiler::new().compile(&example(name)).expect("compiles");
         let i = c.interpret();
-        let (v, profile, hotness) = c.execute_profiled_full();
+        let mut vm = c.vm();
+        vm.enable_profiling();
+        vm.enable_runtime_profiling_precise();
+        let v = vgl::run_vm(&mut vm);
+        let (profile, hotness) = (vm.take_profile().unwrap(), vm.take_runtime_profile().unwrap());
         let report =
             vgl::report::stats_json(&c, Some(&i), Some(&v), Some(&profile), Some(&hotness));
         let text = report.render();
@@ -134,7 +138,10 @@ fn dispatch_chain_disasm_matches_golden() {
 #[test]
 fn gc_example_profiles_collections() {
     let c = vgl::Compiler::new().compile(&example("gc.v")).expect("compiles");
-    let (out, profile) = c.execute_profiled();
+    let mut vm = c.vm();
+    vm.enable_profiling();
+    let out = vgl::run_vm(&mut vm);
+    let profile = vm.take_profile().expect("enabled");
     assert!(out.result.is_ok());
     assert!(
         !profile.gc_events.is_empty(),
