@@ -2,6 +2,9 @@
 //! examples, exit codes, engine agreement under `both`, and the shape of
 //! `stats --json`.
 
+mod common;
+
+use std::collections::BTreeSet;
 use std::path::PathBuf;
 use std::process::{Command, Output};
 
@@ -41,6 +44,7 @@ fn run_interp_and_both_agree_on_every_example() {
 
 #[test]
 fn stats_json_is_valid_and_complete_for_every_example() {
+    let mut schema = Vec::new();
     for path in examples() {
         let p = path.to_str().expect("utf8 path");
         let out = vglc(&["stats", "--json", p]);
@@ -73,6 +77,31 @@ fn stats_json_is_valid_and_complete_for_every_example() {
         // The VM profile rides along with opcode counts.
         let profile = json.get("vm").and_then(|o| o.get("profile"));
         assert!(profile.is_some(), "{p}: missing vm profile");
+        schema.push((p.to_string(), common::key_paths(&json, &["vm.profile.opcodes"])));
+    }
+    // The schema golden: the union of every example's key paths is pinned,
+    // and an example may lack a pinned path only inside an array it left
+    // empty (gc.v is the one example whose `vm.profile.gc` has entries).
+    let union: BTreeSet<String> = schema.iter().flat_map(|(_, s)| s.iter().cloned()).collect();
+    let got: String = union.iter().map(|k| format!("{k}\n")).collect();
+    let path = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/golden/stats_json_keys.txt");
+    if std::env::var_os("VGL_UPDATE_GOLDEN").is_some() {
+        std::fs::write(&path, &got).expect("write schema golden");
+    }
+    let want = std::fs::read_to_string(&path)
+        .unwrap_or_else(|e| panic!("read {path:?}: {e}; regenerate with VGL_UPDATE_GOLDEN=1"));
+    assert_eq!(
+        got, want,
+        "stats --json key paths drifted from {path:?}; regenerate with VGL_UPDATE_GOLDEN=1 if intended"
+    );
+    for (p, keys) in &schema {
+        for missing in union.difference(keys) {
+            let array = missing.split_once("[]").map(|(a, _)| a);
+            assert!(
+                array.is_some_and(|a| keys.contains(a)),
+                "{p}: key path {missing:?} missing outside an empty array"
+            );
+        }
     }
 }
 

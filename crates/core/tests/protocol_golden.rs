@@ -12,6 +12,8 @@
 //! every stable field and the full key set (only `compile_us` and
 //! `code_size` carry build-dependent numbers).
 
+mod common;
+
 use std::io::Write;
 use std::os::unix::net::UnixStream;
 use std::path::Path;
@@ -278,5 +280,51 @@ fn golden_largest_legal_frame_is_served() {
         let resp = roundtrip_raw(path, &bytes);
         assert_eq!(resp.get("ok"), Some(&Json::Bool(true)));
         assert_eq!(resp.get("result").and_then(Json::as_str), Some("42"));
+    });
+}
+
+/// The daemon `stats` schema: every key path is pinned (order-free). The
+/// per-command counts and the session map are keyed by traffic, so only
+/// their own paths are listed.
+#[test]
+fn golden_stats_key_paths() {
+    with_daemon(ServeConfig::default(), |path| {
+        let run = Request::Run { session: "golden".into(), source: PROGRAM.into() };
+        let mut bytes = Vec::new();
+        write_frame(&mut bytes, &run.to_json()).expect("encodes");
+        roundtrip_raw(path, &bytes);
+        let stats = roundtrip_raw(path, &frame(br#"{"cmd":"stats"}"#));
+        let got = common::key_paths(&stats, &["requests", "sessions"]);
+        let want = [
+            "cache",
+            "cache.artifacts",
+            "cache.artifacts.evictions",
+            "cache.artifacts.hit_rate",
+            "cache.artifacts.hits",
+            "cache.artifacts.inserts",
+            "cache.artifacts.lookups",
+            "cache.funcs",
+            "cache.funcs.evictions",
+            "cache.funcs.hit_rate",
+            "cache.funcs.hits",
+            "cache.funcs.inserts",
+            "cache.funcs.lookups",
+            "cache.methods_compiled",
+            "cache.methods_spliced",
+            "cache.splice_rate",
+            "connections",
+            "in_flight",
+            "latency_us",
+            "latency_us.count",
+            "latency_us.max_us",
+            "latency_us.p50_us",
+            "latency_us.p90_us",
+            "latency_us.p99_us",
+            "ok",
+            "requests",
+            "sessions",
+            "uptime_ms",
+        ];
+        assert_eq!(got.iter().map(String::as_str).collect::<Vec<_>>(), want, "{stats}");
     });
 }
