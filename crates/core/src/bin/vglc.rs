@@ -577,7 +577,7 @@ fn main() -> ExitCode {
                 b.opt_cache.lookups,
                 b.opt_cache.hit_rate() * 100.0
             );
-            let workers = compilation.trace.render_workers();
+            let workers = vgl_obs::render_workers(&compilation.backend.workers);
             if !workers.is_empty() {
                 println!("== workers ==");
                 print!("{workers}");
@@ -664,9 +664,9 @@ fn main() -> ExitCode {
             println!("expansion:         x{:.2}", compilation.expansion_ratio());
             println!(
                 "pass times:        mono {:.1}us, norm {:.1}us, opt {:.1}us",
-                s.times.mono.as_secs_f64() * 1e6,
-                s.times.norm.as_secs_f64() * 1e6,
-                s.times.opt.as_secs_f64() * 1e6
+                compilation.trace.duration("mono").as_secs_f64() * 1e6,
+                compilation.trace.duration("normalize").as_secs_f64() * 1e6,
+                compilation.trace.duration("optimize").as_secs_f64() * 1e6
             );
             ExitCode::SUCCESS
         }

@@ -33,7 +33,8 @@ pub const WORKER_TID0: u64 = 1;
 ///
 /// `run` and `log` come from a [`Compilation::vm`] run with
 /// `Vm::enable_trace_log` attached; the compile
-/// side is read off the compilation's own [`crate::PhaseTrace`].
+/// side is read off the compilation's own [`crate::PhaseTrace`] and its
+/// back-end report's worker samples.
 pub fn chrome_trace(c: &Compilation, run: &RunOutcome, log: &TraceLog) -> ChromeTrace {
     let mut t = ChromeTrace::new();
     t.name_process(COMPILE_PID, "compile");
@@ -72,7 +73,7 @@ pub fn chrome_trace(c: &Compilation, run: &RunOutcome, log: &TraceLog) -> Chrome
     // anchor it there.
     let anchor =
         |name: &str| phase_start.iter().find(|&&(n, _)| n == name).map(|&(_, s)| s);
-    let workers = &c.trace.workers;
+    let workers = &c.backend.workers;
     let mut max_worker = None;
     for (i, w) in workers.iter().enumerate() {
         let base = anchor(w.phase)
@@ -120,8 +121,8 @@ pub fn chrome_trace(c: &Compilation, run: &RunOutcome, log: &TraceLog) -> Chrome
     // GC: an instant tick per collection (named by generation, so minor
     // and major pauses are visually distinct) plus the occupancy curve.
     // The `live`/`free` series stack to the heap capacity in the viewer.
-    for g in &log.gc {
-        let ts = at(g.at);
+    for (offset, g) in &log.gc {
+        let ts = at(*offset);
         t.instant(
             match g.kind {
                 vgl_vm::GcKind::Minor => "gc-minor",

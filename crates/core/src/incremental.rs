@@ -77,17 +77,19 @@ struct CachedFunc {
     splice: Arc<SpliceFunc>,
 }
 
-/// Snapshot of the incremental stores' effectiveness, for `vgld stats`.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct IncrementalStats {
-    /// Level-1 (whole-artifact) store counters.
-    pub artifacts: StoreStats,
-    /// Level-2 (per-function) store counters.
-    pub funcs: StoreStats,
-    /// Methods whose optimize+lower+fuse work was skipped via splicing.
-    pub methods_spliced: usize,
-    /// Methods compiled from scratch (and published to the store).
-    pub methods_compiled: usize,
+vgl_obs::stats! {
+    /// Snapshot of the incremental stores' effectiveness, for `vgld stats`.
+    #[derive(Clone, Copy, Debug, Default)]
+    pub struct IncrementalStats {
+        /// Level-1 (whole-artifact) store counters.
+        pub artifacts: StoreStats,
+        /// Level-2 (per-function) store counters.
+        pub funcs: StoreStats,
+        /// Methods whose optimize+lower+fuse work was skipped via splicing.
+        pub methods_spliced: usize,
+        /// Methods compiled from scratch (and published to the store).
+        pub methods_compiled: usize,
+    }
 }
 
 impl IncrementalStats {

@@ -44,17 +44,17 @@ use std::fmt;
 
 pub use vgl_interp::{Interp, InterpError, InterpStats};
 pub use vgl_ir::{Exception, Module, ModuleSize};
-pub use vgl_obs::{JsonLinesSink, PhaseTrace, Sink, TableSink, Tracer};
+pub use vgl_obs::PhaseTrace;
 pub use vgl_passes::{
     module_fingerprint, BackendConfig, BackendReport, CacheStats, MonoStats, NormStats,
-    OptStats, PassTimes, PipelineStats,
+    OptStats, PipelineStats,
 };
-pub use vgl_runtime::{AllocStats, GcInfo, HeapStats};
+pub use vgl_runtime::{AllocStats, HeapStats};
 pub use vgl_syntax::{Diagnostic, Diagnostics, LineMap, Severity};
 pub use vgl_types::{constructor_summary, ConstructorRow, Variance};
 pub use vgl_obs::trace::ChromeTrace;
 pub use vgl_vm::{
-    FlightRecorder, FuncSpan, FuseStats, GcEvent, GcInstant, GcKind, HotFunc, RuntimeProfile,
+    FlightRecorder, FuncSpan, FuseStats, GcEvent, GcKind, HotFunc, RuntimeProfile,
     TraceLog, Vm, VmError, VmProfile, VmProgram, VmStats,
 };
 
@@ -363,17 +363,6 @@ impl Compiler {
         if let (Some(store), Some(splice)) = (reuse, splice) {
             store.publish(splice, &compiled, &program, captures);
         }
-        let dur = |name: &str| {
-            trace
-                .phases
-                .iter()
-                .find(|p| p.name == name)
-                .map(|p| p.duration)
-                .unwrap_or_default()
-        };
-        let times =
-            PassTimes { mono: dur("mono"), norm: dur("normalize"), opt: dur("optimize") };
-        trace.workers = backend.workers.clone();
         Ok(Compilation {
             options: o,
             module,
@@ -381,15 +370,7 @@ impl Compiler {
             program,
             fuse,
             backend,
-            stats: PipelineStats {
-                mono,
-                norm,
-                opt,
-                size_before,
-                size_after_mono,
-                size_after,
-                times,
-            },
+            stats: PipelineStats { mono, norm, opt, size_before, size_after_mono, size_after },
             trace,
         })
     }
@@ -551,12 +532,12 @@ pub struct Compilation {
     /// What the bytecode back-end optimizer did (all zero when disabled).
     pub fuse: FuseStats,
     /// Parallel/cached back-end report: effective jobs, per-pass instance
-    /// cache hit rates, and worker-attributed spans (also mirrored on
-    /// [`Compilation::trace`] as `workers`).
+    /// cache hit rates, and the worker samples of every parallel phase.
     pub backend: BackendReport,
-    /// Pipeline statistics.
+    /// Pipeline statistics (counts and IR sizes; the pass times are in
+    /// [`Compilation::trace`]).
     pub stats: PipelineStats,
-    /// Per-phase wall-clock samples (lex through lower).
+    /// Per-phase wall-clock samples (lex through fuse).
     pub trace: PhaseTrace,
 }
 

@@ -7,8 +7,8 @@
 //! VM's counters plus, when profiled, the per-opcode histogram and GC event
 //! log. `crates/bench` consumes this shape for the paper tables.
 
-use crate::{Compilation, InterpStats, RunOutcome, RuntimeProfile, VmProfile, VmStats};
-use vgl_obs::json::Json;
+use crate::{Compilation, RunOutcome, RuntimeProfile, VmProfile};
+use vgl_obs::json::{Json, ToJson};
 
 /// Builds the full report for one compiled program.
 ///
@@ -27,19 +27,19 @@ pub fn stats_json(
     root.set("phases", c.trace.to_json());
     root.set("pipeline", pipeline_json(c));
     root.set("bytecode_instrs", Json::from(c.code_size()));
-    root.set("fuse", fuse_json(&c.fuse));
+    root.set("fuse", c.fuse.to_json());
     root.set("backend", backend_json(&c.backend));
     if let Some(run) = interp {
         let mut o = outcome_json(run);
         if let Some(s) = &run.interp_stats {
-            o.set("stats", interp_stats_json(s));
+            o.set("stats", s.to_json());
         }
         root.set("interp", o);
     }
     if let Some(run) = vm {
         let mut o = outcome_json(run);
         if let Some(s) = &run.vm_stats {
-            o.set("stats", vm_stats_json(s));
+            o.set("stats", s.to_json().with("ic_hit_rate", Json::Num(s.ic_hit_rate())));
         }
         if let Some(p) = profile {
             o.set("profile", p.to_json());
@@ -104,55 +104,23 @@ fn runtime_json(
 
 fn pipeline_json(c: &Compilation) -> Json {
     let s = &c.stats;
-    let mut o = Json::object();
-
-    let mut mono = Json::object();
-    mono.set("method_instances", Json::from(s.mono.method_instances));
-    mono.set("class_instances", Json::from(s.mono.class_instances));
-    mono.set("live_source_methods", Json::from(s.mono.live_source_methods));
-    mono.set("live_source_classes", Json::from(s.mono.live_source_classes));
-    o.set("mono", mono);
-
-    let mut norm = Json::object();
-    norm.set("tuple_exprs_removed", Json::from(s.norm.tuple_exprs_removed));
-    norm.set("params_expanded", Json::from(s.norm.params_expanded));
-    norm.set("fields_expanded", Json::from(s.norm.fields_expanded));
-    norm.set("globals_expanded", Json::from(s.norm.globals_expanded));
-    norm.set("multi_return_methods", Json::from(s.norm.multi_return_methods));
-    norm.set("wrappers_synthesized", Json::from(s.norm.wrappers_synthesized));
-    o.set("normalize", norm);
-
-    let mut opt = Json::object();
-    opt.set("consts_folded", Json::from(s.opt.consts_folded));
-    opt.set("queries_folded", Json::from(s.opt.queries_folded));
-    opt.set("casts_folded", Json::from(s.opt.casts_folded));
-    opt.set("branches_folded", Json::from(s.opt.branches_folded));
-    opt.set("dead_stmts_removed", Json::from(s.opt.dead_stmts_removed));
-    opt.set("devirtualized", Json::from(s.opt.devirtualized));
-    opt.set("inlined", Json::from(s.opt.inlined));
-    o.set("optimize", opt);
-
-    o.set("size_before", size_json(&s.size_before));
-    o.set("size_after_mono", size_json(&s.size_after_mono));
-    o.set("size_after", size_json(&s.size_after));
-    o.set("expansion_ratio", Json::Num(c.expansion_ratio()));
-
-    let mut times = Json::object();
-    times.set("mono_us", Json::Num(s.times.mono.as_secs_f64() * 1e6));
-    times.set("norm_us", Json::Num(s.times.norm.as_secs_f64() * 1e6));
-    times.set("opt_us", Json::Num(s.times.opt.as_secs_f64() * 1e6));
-    times.set("total_us", Json::Num(s.times.total().as_secs_f64() * 1e6));
-    o.set("pass_times", times);
-    o
-}
-
-fn size_json(s: &vgl_ir::ModuleSize) -> Json {
-    let mut o = Json::object();
-    o.set("methods", Json::from(s.methods));
-    o.set("classes", Json::from(s.classes));
-    o.set("expr_nodes", Json::from(s.expr_nodes));
-    o.set("locals", Json::from(s.locals));
-    o
+    let us = |d: std::time::Duration| Json::Num(d.as_secs_f64() * 1e6);
+    let (mono, norm, opt) =
+        (c.trace.duration("mono"), c.trace.duration("normalize"), c.trace.duration("optimize"));
+    let times = Json::object()
+        .with("mono_us", us(mono))
+        .with("norm_us", us(norm))
+        .with("opt_us", us(opt))
+        .with("total_us", us(mono + norm + opt));
+    Json::object()
+        .with("mono", s.mono.to_json())
+        .with("normalize", s.norm.to_json())
+        .with("optimize", s.opt.to_json())
+        .with("size_before", s.size_before.to_json())
+        .with("size_after_mono", s.size_after_mono.to_json())
+        .with("size_after", s.size_after.to_json())
+        .with("expansion_ratio", Json::Num(c.expansion_ratio()))
+        .with("pass_times", times)
 }
 
 fn outcome_json(run: &RunOutcome) -> Json {
@@ -165,100 +133,18 @@ fn outcome_json(run: &RunOutcome) -> Json {
     o
 }
 
-fn interp_stats_json(s: &InterpStats) -> Json {
-    let mut o = Json::object();
-    o.set("steps", Json::from(s.steps));
-    o.set("callsite_checks", Json::from(s.callsite_checks));
-    o.set("callsite_adaptations", Json::from(s.callsite_adaptations));
-    o.set("type_substitutions", Json::from(s.type_substitutions));
-    o.set("env_lookups", Json::from(s.env_lookups));
-    o.set("env_depth_total", Json::from(s.env_depth_total));
-    o.set("max_env_depth", Json::from(s.max_env_depth));
-    let mut a = Json::object();
-    a.set("tuples", Json::from(s.allocs.tuples));
-    a.set("objects", Json::from(s.allocs.objects));
-    a.set("arrays", Json::from(s.allocs.arrays));
-    a.set("closures", Json::from(s.allocs.closures));
-    o.set("allocs", a);
-    o
-}
-
-/// What the bytecode back-end optimizer did (static rewrite counts).
-fn fuse_json(f: &crate::FuseStats) -> Json {
-    let mut o = Json::object();
-    o.set("instrs_before", Json::from(f.instrs_before));
-    o.set("instrs_after", Json::from(f.instrs_after));
-    o.set("copies_propagated", Json::from(f.copies_propagated));
-    o.set("movs_coalesced", Json::from(f.movs_coalesced));
-    o.set("dead_removed", Json::from(f.dead_removed));
-    o.set("bin_imm_fused", Json::from(f.bin_imm_fused));
-    o.set("cmp_br_fused", Json::from(f.cmp_br_fused));
-    o.set("not_br_folded", Json::from(f.not_br_folded));
-    o.set("field_ret_fused", Json::from(f.field_ret_fused));
-    o.set("inc_local_fused", Json::from(f.inc_local_fused));
-    o.set("global_fused", Json::from(f.global_fused));
-    o
-}
-
 fn cache_json(c: &crate::CacheStats) -> Json {
-    let mut o = Json::object();
-    o.set("lookups", Json::from(c.lookups));
-    o.set("hits", Json::from(c.hits));
-    o.set("unique", Json::from(c.unique));
-    o.set("hit_rate", Json::Num(c.hit_rate()));
-    o
+    c.to_json().with("hit_rate", Json::Num(c.hit_rate()))
 }
 
 /// The parallel/cached back-end report: effective jobs, per-pass instance
 /// cache effectiveness, and worker-attributed spans.
 fn backend_json(b: &crate::BackendReport) -> Json {
-    let mut o = Json::object();
-    o.set("jobs", Json::from(b.jobs));
-    o.set("norm_cache", cache_json(&b.norm_cache));
-    o.set("opt_cache", cache_json(&b.opt_cache));
-    let mut workers = Json::Arr(Vec::new());
-    if let Json::Arr(items) = &mut workers {
-        for w in &b.workers {
-            let mut wo = Json::object();
-            wo.set("phase", Json::Str(w.phase.to_string()));
-            wo.set("worker", Json::from(w.worker));
-            wo.set("items", Json::from(w.items));
-            wo.set("start_us", Json::Num(w.start.as_secs_f64() * 1e6));
-            wo.set("dur_us", Json::Num(w.duration.as_secs_f64() * 1e6));
-            items.push(wo);
-        }
-    }
-    o.set("workers", workers);
-    o
-}
-
-fn vm_stats_json(s: &VmStats) -> Json {
-    let mut o = Json::object();
-    o.set("instrs", Json::from(s.instrs));
-    o.set("calls", Json::from(s.calls));
-    o.set("virtual_calls", Json::from(s.virtual_calls));
-    o.set("closure_calls", Json::from(s.closure_calls));
-    o.set("ic_hits", Json::from(s.ic_hits));
-    o.set("ic_misses", Json::from(s.ic_misses));
-    o.set("ic_hit_rate", Json::Num(s.ic_hit_rate()));
-    o.set("tier_ups", Json::from(s.tier_ups));
-    o.set("deopts", Json::from(s.deopts));
-    o.set("guarded_calls", Json::from(s.guarded_calls));
-    o.set("inlined_calls", Json::from(s.inlined_calls));
-    o.set("ret_spills", Json::from(s.ret_spills));
-    let mut h = Json::object();
-    h.set("objects", Json::from(s.heap.objects));
-    h.set("arrays", Json::from(s.heap.arrays));
-    h.set("closures", Json::from(s.heap.closures));
-    h.set("tuple_boxes", Json::from(s.heap.tuple_boxes));
-    h.set("collections", Json::from(s.heap.collections));
-    h.set("minor_collections", Json::from(s.heap.minor_collections));
-    h.set("major_collections", Json::from(s.heap.major_collections));
-    h.set("copied_slots", Json::from(s.heap.copied_slots));
-    h.set("promoted_slots", Json::from(s.heap.promoted_slots));
-    h.set("allocated_slots", Json::from(s.heap.allocated_slots));
-    o.set("heap", h);
-    o
+    Json::object()
+        .with("jobs", Json::from(b.jobs))
+        .with("norm_cache", cache_json(&b.norm_cache))
+        .with("opt_cache", cache_json(&b.opt_cache))
+        .with("workers", Json::Arr(b.workers.iter().map(ToJson::to_json).collect()))
 }
 
 #[cfg(test)]
@@ -269,6 +155,7 @@ mod tests {
     #[test]
     fn report_round_trips_through_the_parser() {
         let c = Compiler::new()
+            .without_fuse()
             .compile(
                 "def pair<T>(x: T) -> (T, T) { return (x, x); }\n\
                  def main() -> int { var p = pair(21); return p.0 + p.1; }",

@@ -16,8 +16,8 @@
 //! up. Nothing a client sends can make the daemon exit except an explicit
 //! `shutdown` request.
 //!
-//! Observability: every request is timed and recorded as a `vgl-obs` span
-//! (JSON-lines, retrievable via [`Daemon::trace_lines`]); `stats` reports
+//! Observability: every request is timed and recorded as one JSON line
+//! (retrievable via [`Daemon::trace_lines`]); `stats` reports
 //! per-command counts, live session names, in-flight requests, store hit
 //! rates, and p50/p90/p99 request latency.
 
@@ -30,7 +30,7 @@ use std::sync::{Arc, Mutex};
 use std::thread;
 use std::time::{Duration, Instant};
 
-use vgl_obs::{FieldValue, JsonLinesSink, Tracer};
+use vgl_obs::json::ToJson;
 
 use crate::incremental::IncrementalCompiler;
 use crate::proto::{self, error_response, ok_response, read_frame, write_frame};
@@ -116,7 +116,7 @@ struct DaemonState {
     /// Session name → requests served for it.
     sessions: Mutex<HashMap<String, u64>>,
     latency: Mutex<LatencyRing>,
-    /// Accumulated per-request spans, JSON-lines.
+    /// Accumulated per-request records, JSON-lines.
     trace: Mutex<String>,
     idle_timeout: Duration,
 }
@@ -262,21 +262,12 @@ impl DaemonState {
         }
         resp.set("sessions", sessions);
         let st = self.compiler.stats();
-        let store = |s: vgl_passes::StoreStats| {
-            let mut o = Json::object();
-            o.set("lookups", Json::from(s.lookups));
-            o.set("hits", Json::from(s.hits));
-            o.set("inserts", Json::from(s.inserts));
-            o.set("evictions", Json::from(s.evictions));
-            o.set("hit_rate", Json::Num(s.hit_rate()));
-            o
-        };
-        let mut cache = Json::object();
-        cache.set("artifacts", store(st.artifacts));
-        cache.set("funcs", store(st.funcs));
-        cache.set("methods_spliced", Json::from(st.methods_spliced));
-        cache.set("methods_compiled", Json::from(st.methods_compiled));
-        cache.set("splice_rate", Json::Num(st.splice_rate()));
+        let store = |s: vgl_passes::StoreStats| s.to_json().with("hit_rate", Json::Num(s.hit_rate()));
+        let cache = st
+            .to_json()
+            .with("artifacts", store(st.artifacts))
+            .with("funcs", store(st.funcs))
+            .with("splice_rate", Json::Num(st.splice_rate()));
         resp.set("cache", cache);
         let (p50, p90, p99, max) = self.latency.lock().expect("latency poisoned").percentiles();
         let recorded = self.latency.lock().expect("latency poisoned").recorded;
@@ -290,26 +281,17 @@ impl DaemonState {
         resp
     }
 
-    /// Emits one `vgl-obs` span for a finished request into the shared
-    /// JSON-lines trace.
+    /// Appends one JSON line for a finished request to the shared trace.
     fn span(&self, cmd: &'static str, dur: Duration, ok: bool) {
-        let mut sink = JsonLinesSink::new();
-        {
-            let mut tracer = Tracer::new(&mut sink);
-            let span = tracer.start("request");
-            tracer.finish(
-                span,
-                &[
-                    ("cmd", FieldValue::Str(cmd.to_string())),
-                    ("dur_us", FieldValue::UInt(dur.as_micros() as u64)),
-                    ("ok", FieldValue::Bool(ok)),
-                ],
-            );
-        }
-        self.trace
-            .lock()
-            .expect("trace poisoned")
-            .push_str(sink.as_str());
+        let line = Json::object()
+            .with("name", Json::from("request"))
+            .with("cmd", Json::from(cmd))
+            .with("dur_us", Json::from(dur.as_micros() as u64))
+            .with("ok", Json::Bool(ok))
+            .render();
+        let mut trace = self.trace.lock().expect("trace poisoned");
+        trace.push_str(&line);
+        trace.push('\n');
     }
 }
 
@@ -899,8 +881,12 @@ mod tests {
             }
             thread::sleep(Duration::from_millis(5));
         }
-        assert!(lines.contains("\"request\""), "span recorded: {lines:?}");
-        assert!(lines.contains("compile"), "cmd field recorded: {lines:?}");
+        let line = vgl_obs::json::parse(lines.lines().next().expect("one line"))
+            .expect("each line is one JSON object");
+        assert_eq!(line.get("name").and_then(Json::as_str), Some("request"), "{lines:?}");
+        assert_eq!(line.get("cmd").and_then(Json::as_str), Some("compile"), "{lines:?}");
+        assert!(line.get("dur_us").and_then(Json::as_u64).is_some(), "{lines:?}");
+        assert_eq!(line.get("ok").and_then(Json::as_bool), Some(true), "{lines:?}");
         daemon.join();
     }
 }

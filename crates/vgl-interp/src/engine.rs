@@ -34,29 +34,31 @@ impl std::fmt::Display for InterpError {
 
 impl std::error::Error for InterpError {}
 
-/// Costs the interpreter pays that the compiler pipeline removes.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct InterpStats {
-    /// Allocation counters (tuple boxes are the E1 metric).
-    pub allocs: AllocStats,
-    /// §4.1 dynamic calling-convention checks at first-class call sites
-    /// (the E6 metric).
-    pub callsite_checks: usize,
-    /// Calling-convention *adaptations* performed (boxing or unboxing of an
-    /// argument tuple because caller and callee disagreed on arity).
-    pub callsite_adaptations: usize,
-    /// Runtime type substitutions (the type-argument-passing cost, E2).
-    pub type_substitutions: usize,
-    /// Type-environment consultations (every substitution walks the frame's
-    /// type env — §4.3's "invisible arguments" being read back).
-    pub env_lookups: usize,
-    /// Cumulative type-env size across consultations; `env_depth_total /
-    /// env_lookups` is the mean environment depth paid per lookup.
-    pub env_depth_total: usize,
-    /// Largest type environment consulted.
-    pub max_env_depth: usize,
-    /// Expression evaluation steps.
-    pub steps: u64,
+vgl_obs::stats! {
+    /// Costs the interpreter pays that the compiler pipeline removes.
+    #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+    pub struct InterpStats {
+        /// Allocation counters (tuple boxes are the E1 metric).
+        pub allocs: AllocStats,
+        /// §4.1 dynamic calling-convention checks at first-class call sites
+        /// (the E6 metric).
+        pub callsite_checks: usize,
+        /// Calling-convention *adaptations* performed (boxing or unboxing of an
+        /// argument tuple because caller and callee disagreed on arity).
+        pub callsite_adaptations: usize,
+        /// Runtime type substitutions (the type-argument-passing cost, E2).
+        pub type_substitutions: usize,
+        /// Type-environment consultations (every substitution walks the frame's
+        /// type env — §4.3's "invisible arguments" being read back).
+        pub env_lookups: usize,
+        /// Cumulative type-env size across consultations; `env_depth_total /
+        /// env_lookups` is the mean environment depth paid per lookup.
+        pub env_depth_total: usize,
+        /// Largest type environment consulted.
+        pub max_env_depth: usize,
+        /// Expression evaluation steps.
+        pub steps: u64,
+    }
 }
 
 type EResult = Result<Value, Exception>;

@@ -4,17 +4,19 @@
 use crate::module::Module;
 use crate::visit::count_exprs;
 
-/// Size metrics for one module snapshot.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct ModuleSize {
-    /// Number of method definitions with bodies.
-    pub methods: usize,
-    /// Number of class definitions.
-    pub classes: usize,
-    /// Total IR expression nodes across all bodies and initializers.
-    pub expr_nodes: usize,
-    /// Total local slots across all methods.
-    pub locals: usize,
+vgl_obs::stats! {
+    /// Size metrics for one module snapshot.
+    #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+    pub struct ModuleSize {
+        /// Number of method definitions with bodies.
+        pub methods: usize,
+        /// Number of class definitions.
+        pub classes: usize,
+        /// Total IR expression nodes across all bodies and initializers.
+        pub expr_nodes: usize,
+        /// Total local slots across all methods.
+        pub locals: usize,
+    }
 }
 
 impl ModuleSize {

@@ -1,7 +1,7 @@
 //! A dependency-free JSON value: compact writer and strict parser.
 //!
 //! The build environment is offline, so virgil-rs cannot pull `serde`. All
-//! machine-readable output (`vglc stats --json`, the JSON-lines sink, bench
+//! machine-readable output (`vglc stats --json`, the daemon trace, bench
 //! exports) goes through this module, and tests parse it back with
 //! [`parse`] to assert shape.
 
@@ -48,6 +48,25 @@ impl From<&str> for Json {
     }
 }
 
+/// A value with one JSON rendering. Stats structs get theirs from
+/// [`crate::stats!`]: an object with every field under its own name.
+pub trait ToJson {
+    /// The value as JSON.
+    fn to_json(&self) -> Json;
+}
+
+impl ToJson for u64 {
+    fn to_json(&self) -> Json {
+        Json::from(*self)
+    }
+}
+
+impl ToJson for usize {
+    fn to_json(&self) -> Json {
+        Json::from(*self)
+    }
+}
+
 impl Json {
     /// An empty object.
     pub fn object() -> Json {
@@ -67,6 +86,15 @@ impl Json {
         } else {
             entries.push((key.to_string(), value));
         }
+    }
+
+    /// [`Json::set`] by value, for building an object in one expression.
+    ///
+    /// # Panics
+    /// Panics when `self` is not an object.
+    pub fn with(mut self, key: &str, value: Json) -> Json {
+        self.set(key, value);
+        self
     }
 
     /// Looks up `key` on an object.

@@ -1,13 +1,18 @@
-//! Round-trip tests for `PhaseTrace` phase and worker-span JSON: what
-//! `to_json()`/`workers_json()` emit must parse back with `vgl_obs::json`
-//! and preserve items_in/items_out and worker attribution exactly, for an
+//! Round-trip tests for `PhaseTrace` phase JSON and worker-sample JSON:
+//! what `to_json()` emits must parse back with `vgl_obs::json` and
+//! preserve items_in/items_out and worker attribution exactly, for an
 //! empty trace, a jobs=1 trace, and a multi-worker trace.
 
 use std::time::Duration;
-use vgl_obs::{json, PhaseTrace, WorkerSample};
+use vgl_obs::json::{self, ToJson};
+use vgl_obs::{render_workers, PhaseTrace, WorkerSample};
 
 fn roundtrip(j: &json::Json) -> json::Json {
     json::parse(&j.render()).expect("rendered JSON parses back")
+}
+
+fn workers_json(workers: &[WorkerSample]) -> json::Json {
+    json::Json::Arr(workers.iter().map(ToJson::to_json).collect())
 }
 
 #[test]
@@ -15,9 +20,9 @@ fn empty_trace_round_trips() {
     let trace = PhaseTrace::new();
     let phases = roundtrip(&trace.to_json());
     assert_eq!(phases.as_arr().unwrap().len(), 0);
-    let workers = roundtrip(&trace.workers_json());
+    let workers = roundtrip(&workers_json(&[]));
     assert_eq!(workers.as_arr().unwrap().len(), 0);
-    assert_eq!(trace.render_workers(), "");
+    assert_eq!(render_workers(&[]), "");
 }
 
 #[test]
@@ -38,15 +43,14 @@ fn phase_items_survive_round_trip() {
 #[test]
 fn jobs1_worker_trace_round_trips() {
     // jobs=1 runs inline as a single worker 0 per parallel phase.
-    let mut trace = PhaseTrace::new();
-    trace.workers.push(WorkerSample {
+    let workers = [WorkerSample {
         phase: "optimize",
         worker: 0,
         items: 17,
         start: Duration::from_micros(5),
         duration: Duration::from_micros(250),
-    });
-    let parsed = roundtrip(&trace.workers_json());
+    }];
+    let parsed = roundtrip(&workers_json(&workers));
     let arr = parsed.as_arr().unwrap();
     assert_eq!(arr.len(), 1);
     assert_eq!(arr[0].get("phase").unwrap().as_str(), Some("optimize"));
@@ -58,19 +62,18 @@ fn jobs1_worker_trace_round_trips() {
 
 #[test]
 fn multi_worker_trace_round_trips() {
-    let mut trace = PhaseTrace::new();
-    for (phase, worker, items) in
+    let workers: Vec<WorkerSample> =
         [("optimize", 0usize, 9usize), ("optimize", 1, 8), ("fuse", 0, 5), ("fuse", 1, 4)]
-    {
-        trace.workers.push(WorkerSample {
-            phase,
-            worker,
-            items,
-            start: Duration::from_micros(worker as u64),
-            duration: Duration::from_micros(100 + worker as u64),
-        });
-    }
-    let parsed = roundtrip(&trace.workers_json());
+            .into_iter()
+            .map(|(phase, worker, items)| WorkerSample {
+                phase,
+                worker,
+                items,
+                start: Duration::from_micros(worker as u64),
+                duration: Duration::from_micros(100 + worker as u64),
+            })
+            .collect();
+    let parsed = roundtrip(&workers_json(&workers));
     let arr = parsed.as_arr().unwrap();
     assert_eq!(arr.len(), 4);
     let total_items: f64 =
@@ -79,7 +82,7 @@ fn multi_worker_trace_round_trips() {
     assert_eq!(arr[1].get("worker").unwrap().as_f64(), Some(1.0));
     assert_eq!(arr[2].get("phase").unwrap().as_str(), Some("fuse"));
     // The human table mentions every phase once per worker.
-    let table = trace.render_workers();
+    let table = render_workers(&workers);
     assert_eq!(table.matches("optimize").count(), 2);
     assert_eq!(table.matches("fuse").count(), 2);
 }

@@ -238,16 +238,18 @@ pub fn context_digest(module: &Module) -> (u64, u64) {
     (h.a, h.b)
 }
 
-/// Cache effectiveness counters for one pass over one module.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct CacheStats {
-    /// Methods with bodies that were looked up.
-    pub lookups: usize,
-    /// Duplicates that skipped the pass (result copied from their
-    /// representative).
-    pub hits: usize,
-    /// Unique representatives that did the work.
-    pub unique: usize,
+vgl_obs::stats! {
+    /// Cache effectiveness counters for one pass over one module.
+    #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+    pub struct CacheStats {
+        /// Methods with bodies that were looked up.
+        pub lookups: usize,
+        /// Duplicates that skipped the pass (result copied from their
+        /// representative).
+        pub hits: usize,
+        /// Unique representatives that did the work.
+        pub unique: usize,
+    }
 }
 
 impl CacheStats {

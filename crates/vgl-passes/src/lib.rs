@@ -33,7 +33,6 @@ pub use normalize::{normalize, normalize_cfg, NormStats};
 pub use optimize::{inline_candidate, optimize, optimize_cfg, optimize_cfg_masked, OptStats};
 pub use store::{ShardedLru, StoreStats};
 
-use std::time::Duration;
 use vgl_ir::Module;
 use vgl_obs::WorkerSample;
 
@@ -85,24 +84,6 @@ pub struct BackendReport {
     pub dup_map: Option<cache::DupMap>,
 }
 
-/// Wall-clock durations of the three pipeline passes.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct PassTimes {
-    /// Monomorphization time.
-    pub mono: Duration,
-    /// Normalization time.
-    pub norm: Duration,
-    /// Optimization time.
-    pub opt: Duration,
-}
-
-impl PassTimes {
-    /// Total pipeline pass time.
-    pub fn total(&self) -> Duration {
-        self.mono + self.norm + self.opt
-    }
-}
-
 /// Combined statistics from a full pipeline run.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct PipelineStats {
@@ -118,8 +99,6 @@ pub struct PipelineStats {
     pub size_after_mono: vgl_ir::ModuleSize,
     /// IR size after the full pipeline.
     pub size_after: vgl_ir::ModuleSize,
-    /// Per-pass wall-clock durations.
-    pub times: PassTimes,
 }
 
 /// [`monomorphize`] under a [`BackendConfig`]: with the cache enabled,
@@ -167,14 +146,6 @@ pub fn compile_pipeline(module: &Module) -> (Module, PipelineStats) {
     let violations = vgl_ir::check_normalized(&m);
     assert!(violations.is_empty(), "optimizer broke normalization invariants: {violations:#?}");
     let size_after = vgl_ir::measure(&m);
-    let stats = PipelineStats {
-        mono,
-        norm,
-        opt,
-        size_before,
-        size_after_mono,
-        size_after,
-        times: PassTimes::default(),
-    };
+    let stats = PipelineStats { mono, norm, opt, size_before, size_after_mono, size_after };
     (m, stats)
 }

@@ -36,17 +36,19 @@ use vgl_types::{ClassId, ClassInfo, Hierarchy, Type, TypeKind, TypeStore, TypeVa
 /// (e.g. a class whose field type grows: `class C<T> { var x: C<(T, T)>; }`).
 const MAX_INSTANTIATION_DEPTH: usize = 64;
 
-/// Statistics reported by monomorphization (experiment E4 reads these).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct MonoStats {
-    /// Method instantiations created.
-    pub method_instances: usize,
-    /// Class instantiations created.
-    pub class_instances: usize,
-    /// Distinct source methods that were live.
-    pub live_source_methods: usize,
-    /// Distinct source classes that were live.
-    pub live_source_classes: usize,
+vgl_obs::stats! {
+    /// Statistics reported by monomorphization (experiment E4 reads these).
+    #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+    pub struct MonoStats {
+        /// Method instantiations created.
+        pub method_instances: usize,
+        /// Class instantiations created.
+        pub class_instances: usize,
+        /// Distinct source methods that were live.
+        pub live_source_methods: usize,
+        /// Distinct source classes that were live.
+        pub live_source_classes: usize,
+    }
 }
 
 /// Runs monomorphization, returning the specialized module and statistics.

@@ -38,21 +38,23 @@ use vgl_ir::{
 };
 use vgl_types::{ClassId, Type, TypeKind, TypeStore};
 
-/// Statistics from normalization (experiments E1/E6 narrate these).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct NormStats {
-    /// Tuple constructions eliminated from expression positions.
-    pub tuple_exprs_removed: usize,
-    /// Extra parameters introduced by flattening.
-    pub params_expanded: usize,
-    /// Fields expanded into multiple scalar fields.
-    pub fields_expanded: usize,
-    /// Globals expanded.
-    pub globals_expanded: usize,
-    /// Methods that now return multiple values.
-    pub multi_return_methods: usize,
-    /// Synthesized operator wrapper methods.
-    pub wrappers_synthesized: usize,
+vgl_obs::stats! {
+    /// Statistics from normalization (experiments E1/E6 narrate these).
+    #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+    pub struct NormStats {
+        /// Tuple constructions eliminated from expression positions.
+        pub tuple_exprs_removed: usize,
+        /// Extra parameters introduced by flattening.
+        pub params_expanded: usize,
+        /// Fields expanded into multiple scalar fields.
+        pub fields_expanded: usize,
+        /// Globals expanded.
+        pub globals_expanded: usize,
+        /// Methods that now return multiple values.
+        pub multi_return_methods: usize,
+        /// Synthesized operator wrapper methods.
+        pub wrappers_synthesized: usize,
+    }
 }
 
 /// Runs normalization in place (serially, instance cache on — equivalent

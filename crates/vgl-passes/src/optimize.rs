@@ -21,23 +21,25 @@ use vgl_ir::{Expr, ExprKind, Method, MethodId, MethodKind, Module, Oper, Stmt};
 use vgl_obs::WorkerSample;
 use vgl_types::{CastRelation, ClassId, Hierarchy, TypeKind, TypeStore};
 
-/// Optimizer statistics (experiment E3 narrates these).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct OptStats {
-    /// Constant operations folded.
-    pub consts_folded: usize,
-    /// Type queries decided statically.
-    pub queries_folded: usize,
-    /// Casts removed (subsumption) or turned into traps (impossible).
-    pub casts_folded: usize,
-    /// `if`/ternary/short-circuit branches decided statically.
-    pub branches_folded: usize,
-    /// Statements removed as dead.
-    pub dead_stmts_removed: usize,
-    /// Virtual calls rewritten to direct calls.
-    pub devirtualized: usize,
-    /// Small leaf methods inlined at direct call sites.
-    pub inlined: usize,
+vgl_obs::stats! {
+    /// Optimizer statistics (experiment E3 narrates these).
+    #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+    pub struct OptStats {
+        /// Constant operations folded.
+        pub consts_folded: usize,
+        /// Type queries decided statically.
+        pub queries_folded: usize,
+        /// Casts removed (subsumption) or turned into traps (impossible).
+        pub casts_folded: usize,
+        /// `if`/ternary/short-circuit branches decided statically.
+        pub branches_folded: usize,
+        /// Statements removed as dead.
+        pub dead_stmts_removed: usize,
+        /// Virtual calls rewritten to direct calls.
+        pub devirtualized: usize,
+        /// Small leaf methods inlined at direct call sites.
+        pub inlined: usize,
+    }
 }
 
 /// Runs the optimizer in place until a fixpoint (bounded), serially with

@@ -27,17 +27,19 @@ use std::sync::{Arc, Mutex};
 
 use crate::cache::MAX_SHARDS;
 
-/// Aggregate counters across all shards of a [`ShardedLru`].
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct StoreStats {
-    /// `get` calls.
-    pub lookups: usize,
-    /// `get` calls that found a live entry.
-    pub hits: usize,
-    /// `insert` calls that created a new entry (not counting refreshes).
-    pub inserts: usize,
-    /// Entries evicted by capacity pressure.
-    pub evictions: usize,
+vgl_obs::stats! {
+    /// Aggregate counters across all shards of a [`ShardedLru`].
+    #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+    pub struct StoreStats {
+        /// `get` calls.
+        pub lookups: usize,
+        /// `get` calls that found a live entry.
+        pub hits: usize,
+        /// `insert` calls that created a new entry (not counting refreshes).
+        pub inserts: usize,
+        /// Entries evicted by capacity pressure.
+        pub evictions: usize,
+    }
 }
 
 impl StoreStats {

@@ -53,13 +53,10 @@
 //! [`Heap::grow`] extends the mature space upward, so nursery indices — and
 //! every live reference — stay valid across growth.
 
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// Tagged VM value.
 pub type Word = u64;
-
-/// Bytes per heap slot (tagged 64-bit words).
-pub const SLOT_BYTES: usize = 8;
 
 /// The tagged `null` reference.
 pub const NULL: Word = 1;
@@ -209,89 +206,62 @@ impl GcKind {
     }
 }
 
-/// Allocation and collection statistics.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct HeapStats {
-    /// Objects allocated (explicit `new`).
-    pub objects: usize,
-    /// Arrays allocated.
-    pub arrays: usize,
-    /// Closure cells allocated.
-    pub closures: usize,
-    /// Tuple boxes allocated — **always zero after normalization**; the VM
-    /// has no instruction that could allocate one (experiment E1).
-    pub tuple_boxes: usize,
-    /// Collections performed (minor + major).
-    pub collections: usize,
-    /// Minor (nursery) collections performed.
-    pub minor_collections: usize,
-    /// Major (full-heap) collections performed.
-    pub major_collections: usize,
-    /// Total slots copied by collections (promotion copies for minors, full
-    /// live copies for majors).
-    pub copied_slots: usize,
-    /// Total slots promoted from the nursery to the mature space.
-    pub promoted_slots: usize,
-    /// Total slots allocated over time.
-    pub allocated_slots: usize,
+vgl_obs::stats! {
+    /// Allocation and collection statistics.
+    #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+    pub struct HeapStats {
+        /// Objects allocated (explicit `new`).
+        pub objects: usize,
+        /// Arrays allocated.
+        pub arrays: usize,
+        /// Closure cells allocated.
+        pub closures: usize,
+        /// Tuple boxes allocated — **always zero after normalization**; the VM
+        /// has no instruction that could allocate one (experiment E1).
+        pub tuple_boxes: usize,
+        /// Collections performed (minor + major).
+        pub collections: usize,
+        /// Minor (nursery) collections performed.
+        pub minor_collections: usize,
+        /// Major (full-heap) collections performed.
+        pub major_collections: usize,
+        /// Total slots copied by collections (promotion copies for minors, full
+        /// live copies for majors).
+        pub copied_slots: usize,
+        /// Total slots promoted from the nursery to the mature space.
+        pub promoted_slots: usize,
+        /// Total slots allocated over time.
+        pub allocated_slots: usize,
+    }
 }
 
-/// What one collection did — returned by [`Heap::collect`] so callers
-/// (the VM's profiler) can report per-GC events without re-deriving them
-/// from counter deltas.
+/// One collection: what the heap did, plus the pause and instruction clock
+/// the VM stamps on it when one of its recorders is on. This is the one GC
+/// record: the VM's profile, trace log, flight recorder and GC timeline
+/// all keep copies of it.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct GcInfo {
+pub struct GcEvent {
     /// Minor or major.
     pub kind: GcKind,
+    /// Wall-clock pause, timed by the VM around the collection (zero when
+    /// nothing records it).
+    pub pause: Duration,
+    /// Slots in use when the collection started.
+    pub used_before: usize,
     /// Slots in use after the collection — for a major, exactly the live
     /// slots; for a minor, the mature occupancy (an upper bound: mature
     /// garbage is not traced by a minor).
     pub live_slots: usize,
     /// Slots physically copied by this collection: the promoted survivors
     /// for a minor, everything live for a major. Diverges from
-    /// [`GcInfo::live_slots`] on every minor collection.
-    pub copied_slots: usize,
-    /// Heap capacity at collection time.
-    pub capacity_slots: usize,
-}
-
-/// One collection in the heap's telemetry timeline: when enabled, every
-/// [`Heap::collect`] appends a record with its wall-clock pause and the
-/// live/freed accounting needed to draw a heap-occupancy curve.
-#[derive(Clone, Copy, Debug, Default, PartialEq)]
-pub struct GcRecord {
-    /// Minor or major.
-    pub kind: GcKind,
-    /// Wall-clock duration of the collection (root rewrite + scan + copy).
-    pub pause: Duration,
-    /// Slots in use when the collection started.
-    pub used_before: usize,
-    /// Slots in use (surviving) after the collection.
-    pub live_slots: usize,
-    /// Slots physically copied (promoted, for a minor).
+    /// [`GcEvent::live_slots`] on every minor collection.
     pub copied_slots: usize,
     /// Slots reclaimed.
     pub freed_slots: usize,
     /// Heap capacity at collection time.
     pub capacity_slots: usize,
-}
-
-impl GcRecord {
-    /// Post-collection occupancy in `[0, 1]` — one point on the
-    /// heap-occupancy curve.
-    pub fn occupancy(&self) -> f64 {
-        self.live_slots as f64 / self.capacity_slots.max(1) as f64
-    }
-
-    /// Bytes surviving the collection.
-    pub fn live_bytes(&self) -> usize {
-        self.live_slots * SLOT_BYTES
-    }
-
-    /// Bytes reclaimed by the collection.
-    pub fn freed_bytes(&self) -> usize {
-        self.freed_slots * SLOT_BYTES
-    }
+    /// Instructions the VM had retired when the collection ran.
+    pub at_instr: u64,
 }
 
 /// A generational copying heap (see the module docs for the layout).
@@ -313,9 +283,6 @@ pub struct Heap {
     remset: Vec<usize>,
     /// Statistics.
     pub stats: HeapStats,
-    /// Per-collection telemetry; `None` (the default) costs nothing — not
-    /// even a clock read — per collection.
-    timeline: Option<Vec<GcRecord>>,
 }
 
 /// Returned when an allocation cannot proceed before a collection.
@@ -344,26 +311,7 @@ impl Heap {
             top: 1 + nursery,
             remset: Vec::new(),
             stats: HeapStats::default(),
-            timeline: None,
         }
-    }
-
-    /// Turns on per-collection telemetry; subsequent [`Heap::collect`] calls
-    /// append a [`GcRecord`] each.
-    pub fn enable_timeline(&mut self) {
-        if self.timeline.is_none() {
-            self.timeline = Some(Vec::new());
-        }
-    }
-
-    /// The telemetry timeline so far; empty slice when disabled.
-    pub fn timeline(&self) -> &[GcRecord] {
-        self.timeline.as_deref().unwrap_or(&[])
-    }
-
-    /// Consumes the telemetry timeline, disabling further recording.
-    pub fn take_timeline(&mut self) -> Vec<GcRecord> {
-        self.timeline.take().unwrap_or_default()
     }
 
     /// Slots currently in use (including the reserved null slot).
@@ -513,7 +461,7 @@ impl Heap {
     /// generational and the mature space can absorb the worst-case
     /// promotion, otherwise a **major** one. Copies survivors, rewrites the
     /// roots in place, and returns what it did for observability.
-    pub fn collect(&mut self, roots: &mut [&mut [Word]]) -> GcInfo {
+    pub fn collect(&mut self, roots: &mut [&mut [Word]]) -> GcEvent {
         if self.is_generational() && self.space.len() - self.top >= self.nursery_used() {
             self.collect_minor(roots)
         } else {
@@ -525,8 +473,7 @@ impl Heap {
     /// (roots = the given slices plus the remembered set), then resets the
     /// nursery. Mature cells never move. The caller must guarantee the
     /// mature space has at least [`Heap::nursery_used`] free slots.
-    fn collect_minor(&mut self, roots: &mut [&mut [Word]]) -> GcInfo {
-        let pause_start = self.timeline.is_some().then(Instant::now);
+    fn collect_minor(&mut self, roots: &mut [&mut [Word]]) -> GcEvent {
         let used_before = self.used();
         self.stats.collections += 1;
         self.stats.minor_collections += 1;
@@ -569,14 +516,7 @@ impl Heap {
         self.nursery_top = 1;
         self.stats.copied_slots += promoted;
         self.stats.promoted_slots += promoted;
-        let info = GcInfo {
-            kind: GcKind::Minor,
-            live_slots: self.mature_used(),
-            copied_slots: promoted,
-            capacity_slots: self.space.len(),
-        };
-        self.record(pause_start, used_before, info);
-        info
+        self.event(GcKind::Minor, used_before, self.mature_used(), promoted)
     }
 
     /// Forwards a word during a minor collection: only nursery references
@@ -608,8 +548,7 @@ impl Heap {
     /// Major (full-heap Cheney) collection: copies everything reachable
     /// from `roots` into the other semispace — nursery survivors are
     /// promoted in the same sweep — and rewrites the roots in place.
-    pub fn collect_major(&mut self, roots: &mut [&mut [Word]]) -> GcInfo {
-        let pause_start = self.timeline.is_some().then(Instant::now);
+    pub fn collect_major(&mut self, roots: &mut [&mut [Word]]) -> GcEvent {
         let used_before = self.used();
         self.stats.collections += 1;
         self.stats.major_collections += 1;
@@ -653,28 +592,18 @@ impl Heap {
         }
         let copied = self.top - self.nursery_end;
         self.stats.copied_slots += copied;
-        let info = GcInfo {
-            kind: GcKind::Major,
-            live_slots: copied,
-            copied_slots: copied,
-            capacity_slots: self.space.len(),
-        };
-        self.record(pause_start, used_before, info);
-        info
+        self.event(GcKind::Major, used_before, copied, copied)
     }
 
-    fn record(&mut self, pause_start: Option<Instant>, used_before: usize, info: GcInfo) {
-        let used_after = self.used();
-        if let Some(timeline) = &mut self.timeline {
-            timeline.push(GcRecord {
-                kind: info.kind,
-                pause: pause_start.map(|t| t.elapsed()).unwrap_or_default(),
-                used_before,
-                live_slots: info.live_slots,
-                copied_slots: info.copied_slots,
-                freed_slots: used_before.saturating_sub(used_after),
-                capacity_slots: info.capacity_slots,
-            });
+    fn event(&self, kind: GcKind, used_before: usize, live: usize, copied: usize) -> GcEvent {
+        GcEvent {
+            kind,
+            used_before,
+            live_slots: live,
+            copied_slots: copied,
+            freed_slots: used_before.saturating_sub(self.used()),
+            capacity_slots: self.space.len(),
+            ..GcEvent::default()
         }
     }
 
@@ -882,34 +811,20 @@ mod tests {
     }
 
     #[test]
-    fn timeline_is_off_by_default_and_records_when_enabled() {
+    fn collect_reports_what_it_did() {
         let mut h = Heap::new(64);
         let a = h.try_alloc(CellKind::Object, 0, 2).expect("fits");
         let mut roots = [a];
-        h.collect(&mut [&mut roots]);
-        assert!(h.timeline().is_empty(), "disabled timeline records nothing");
-
-        h.enable_timeline();
         while h.try_alloc(CellKind::Array, 0, 4).is_ok() {}
         let used_before = h.used();
-        h.collect(&mut [&mut roots]);
-        let tl = h.timeline();
-        assert_eq!(tl.len(), 1);
-        let rec = tl[0];
-        assert_eq!(rec.kind, GcKind::Major);
-        assert_eq!(rec.used_before, used_before);
-        assert_eq!(rec.live_slots, 3, "only the rooted object survives");
-        assert_eq!(rec.copied_slots, rec.live_slots, "copied == live on a major");
-        assert_eq!(rec.freed_slots, used_before - 1 - rec.live_slots);
-        assert_eq!(rec.capacity_slots, h.capacity());
-        assert!(rec.occupancy() > 0.0 && rec.occupancy() <= 1.0);
-        assert_eq!(rec.live_bytes(), rec.live_slots * SLOT_BYTES);
-        assert_eq!(rec.freed_bytes(), rec.freed_slots * SLOT_BYTES);
-
-        let taken = h.take_timeline();
-        assert_eq!(taken.len(), 1);
-        h.collect(&mut [&mut roots]);
-        assert!(h.timeline().is_empty(), "take_timeline disables recording");
+        let ev = h.collect(&mut [&mut roots]);
+        assert_eq!(ev.kind, GcKind::Major);
+        assert_eq!(ev.used_before, used_before);
+        assert_eq!(ev.live_slots, 3, "only the rooted object survives");
+        assert_eq!(ev.copied_slots, ev.live_slots, "copied == live on a major");
+        assert_eq!(ev.freed_slots, used_before - 1 - ev.live_slots);
+        assert_eq!(ev.capacity_slots, h.capacity());
+        assert_eq!((ev.pause, ev.at_instr), (Duration::ZERO, 0), "the VM stamps these");
     }
 
     #[test]

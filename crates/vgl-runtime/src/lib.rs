@@ -15,7 +15,5 @@
 pub mod heap;
 pub mod value;
 
-pub use heap::{
-    CellKind, GcInfo, GcKind, GcRecord, Heap, HeapStats, NeedsGc, Word, NULL, SLOT_BYTES,
-};
+pub use heap::{CellKind, GcEvent, GcKind, Heap, HeapStats, NeedsGc, Word, NULL};
 pub use value::{AllocStats, ArrData, Closure, ObjData, Value};

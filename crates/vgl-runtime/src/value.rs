@@ -14,18 +14,20 @@ use std::rc::Rc;
 use vgl_ir::{Builtin, MethodId, Oper};
 use vgl_types::{ClassId, Type};
 
-/// Counters for implicit and explicit allocations performed by the
-/// interpreter (experiment E1 reads these).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct AllocStats {
-    /// Boxed tuple values — the *implicit* allocations normalization removes.
-    pub tuples: usize,
-    /// Objects from explicit `new`.
-    pub objects: usize,
-    /// Arrays from explicit `Array<T>.new` / literals / strings.
-    pub arrays: usize,
-    /// Closure records (method binds, operator closures).
-    pub closures: usize,
+vgl_obs::stats! {
+    /// Counters for implicit and explicit allocations performed by the
+    /// interpreter (experiment E1 reads these).
+    #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+    pub struct AllocStats {
+        /// Boxed tuple values — the *implicit* allocations normalization removes.
+        pub tuples: usize,
+        /// Objects from explicit `new`.
+        pub objects: usize,
+        /// Arrays from explicit `Array<T>.new` / literals / strings.
+        pub arrays: usize,
+        /// Closure records (method binds, operator closures).
+        pub closures: usize,
+    }
 }
 
 impl AllocStats {

@@ -12,7 +12,7 @@
 use crate::bytecode::{FuncId, VmProgram};
 use crate::vm::VmError;
 use vgl_obs::flight::Ring;
-use vgl_runtime::heap::GcKind;
+use vgl_runtime::heap::GcEvent;
 
 /// How a recorded call was dispatched.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -55,14 +55,7 @@ pub enum FlightKind {
         func: FuncId,
     },
     /// A garbage collection ran.
-    Gc {
-        /// Minor (nursery) or major (full-heap) collection.
-        kind: GcKind,
-        /// Slots surviving the collection.
-        live_slots: usize,
-        /// Heap capacity at collection time.
-        capacity_slots: usize,
-    },
+    Gc(GcEvent),
     /// A function crossed its hotness threshold and installed a hot-tier
     /// body re-fused from its own runtime profile.
     TierUp {
@@ -176,10 +169,12 @@ impl FlightRecorder {
                         FlightRecorder::func_name(program, func)
                     ));
                 }
-                FlightKind::Gc { kind, live_slots, capacity_slots } => {
+                FlightKind::Gc(gc) => {
                     out.push_str(&format!(
-                        "gc-{}: live {live_slots}/{capacity_slots} slots\n",
-                        kind.label()
+                        "gc-{}: live {}/{} slots\n",
+                        gc.kind.label(),
+                        gc.live_slots,
+                        gc.capacity_slots
                     ));
                 }
                 FlightKind::TierUp { func } => {

@@ -36,32 +36,34 @@ use crate::bytecode::*;
 use std::collections::HashSet;
 use vgl_ir::Violation;
 
-/// What the fusion pass did, per rewrite kind.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct FuseStats {
-    /// Uses rewritten by copy propagation.
-    pub copies_propagated: usize,
-    /// Pure producers redirected into a `Mov` destination.
-    pub movs_coalesced: usize,
-    /// Dead pure writes removed.
-    pub dead_removed: usize,
-    /// `ConstI`+`Bin` pairs fused into `BinI`.
-    pub bin_imm_fused: usize,
-    /// Compare+branch pairs fused (`CmpBr`, `CmpBrI`, `EqBr`, `NullBr`).
-    pub cmp_br_fused: usize,
-    /// `Not`+branch pairs folded into the inverted branch.
-    pub not_br_folded: usize,
-    /// `FieldGet`+`Ret` pairs fused.
-    pub field_ret_fused: usize,
-    /// `BinI(Add, r, r, imm)` rewritten to `IncLocal`.
-    pub inc_local_fused: usize,
-    /// Global-accumulator fusions (`GlobalGet`+`Bin` → `GlobalBin` and
-    /// `GlobalBin`+`GlobalSet` → `GlobalAccum`).
-    pub global_fused: usize,
-    /// Instructions before the pass, summed over all functions.
-    pub instrs_before: usize,
-    /// Instructions after the pass.
-    pub instrs_after: usize,
+vgl_obs::stats! {
+    /// What the fusion pass did, per rewrite kind.
+    #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+    pub struct FuseStats {
+        /// Uses rewritten by copy propagation.
+        pub copies_propagated: usize,
+        /// Pure producers redirected into a `Mov` destination.
+        pub movs_coalesced: usize,
+        /// Dead pure writes removed.
+        pub dead_removed: usize,
+        /// `ConstI`+`Bin` pairs fused into `BinI`.
+        pub bin_imm_fused: usize,
+        /// Compare+branch pairs fused (`CmpBr`, `CmpBrI`, `EqBr`, `NullBr`).
+        pub cmp_br_fused: usize,
+        /// `Not`+branch pairs folded into the inverted branch.
+        pub not_br_folded: usize,
+        /// `FieldGet`+`Ret` pairs fused.
+        pub field_ret_fused: usize,
+        /// `BinI(Add, r, r, imm)` rewritten to `IncLocal`.
+        pub inc_local_fused: usize,
+        /// Global-accumulator fusions (`GlobalGet`+`Bin` → `GlobalBin` and
+        /// `GlobalBin`+`GlobalSet` → `GlobalAccum`).
+        pub global_fused: usize,
+        /// Instructions before the pass, summed over all functions.
+        pub instrs_before: usize,
+        /// Instructions after the pass.
+        pub instrs_after: usize,
+    }
 }
 
 impl FuseStats {

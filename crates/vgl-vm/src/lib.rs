@@ -43,11 +43,9 @@ pub use fuse::{
     TierFeedback, TieredBody,
 };
 pub use lower::{lower, lower_incremental, Capture, Demand, ReusePlan, SpliceFunc};
-pub use profile::{
-    FuncSpan, GcEvent, GcInstant, HotFunc, RuntimeProfile, TierInstant, TraceLog, VmProfile,
-};
+pub use profile::{FuncSpan, HotFunc, RuntimeProfile, TierInstant, TraceLog, VmProfile};
 pub use tier::{
     site_speculation, Speculation, TierState, DEFAULT_TIER_THRESHOLD, SPEC_MISS_CAP,
 };
 pub use vm::{ret_as_int, ret_is_ref, Vm, VmError, VmStats, DEFAULT_NURSERY_SLOTS, RET_INLINE};
-pub use vgl_runtime::heap::GcKind;
+pub use vgl_runtime::heap::{GcEvent, GcKind};

@@ -9,25 +9,7 @@
 use crate::bytecode::{FuncId, VmProgram, FIRST_SUPER_OPCODE, OPCODE_COUNT, OPCODE_NAMES};
 use std::time::{Duration, Instant};
 use vgl_obs::json::Json;
-use vgl_obs::{FieldValue, Tracer};
-use vgl_runtime::heap::GcKind;
-
-/// One garbage collection observed during a profiled run.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct GcEvent {
-    /// Minor (nursery) or major (full-heap) collection.
-    pub kind: GcKind,
-    /// Wall-clock pause.
-    pub pause: Duration,
-    /// Slots live after the collection.
-    pub live_slots: usize,
-    /// Slots copied by the collection (promoted, for a minor).
-    pub copied_slots: usize,
-    /// Heap capacity at collection time.
-    pub capacity_slots: usize,
-    /// Instructions retired when the collection happened.
-    pub at_instr: u64,
-}
+use vgl_runtime::heap::{GcEvent, GcKind};
 
 /// Profiling data for one VM run.
 #[derive(Clone, Debug)]
@@ -148,22 +130,6 @@ impl VmProfile {
         j.set("super_share", Json::Num(self.super_share()));
         j.set("gc", gc);
         j
-    }
-
-    /// Emits each GC event into a tracer.
-    pub fn emit_gc(&self, tracer: &mut Tracer<'_>) {
-        for e in &self.gc_events {
-            tracer.event(
-                "gc",
-                &[
-                    ("kind", FieldValue::Str(e.kind.label().into())),
-                    ("pause_us", FieldValue::Float(e.pause.as_secs_f64() * 1e6)),
-                    ("live_slots", FieldValue::UInt(e.live_slots as u64)),
-                    ("copied_slots", FieldValue::UInt(e.copied_slots as u64)),
-                    ("at_instr", FieldValue::UInt(e.at_instr)),
-                ],
-            );
-        }
     }
 }
 
@@ -317,21 +283,6 @@ pub struct FuncSpan {
     pub depth: u32,
 }
 
-/// One collection as a wall-clock instant, for Chrome-trace export.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct GcInstant {
-    /// Minor or major collection.
-    pub kind: GcKind,
-    /// Offset from the log's origin.
-    pub at: Duration,
-    /// Collection pause.
-    pub pause: Duration,
-    /// Slots surviving.
-    pub live_slots: usize,
-    /// Heap capacity.
-    pub capacity_slots: usize,
-}
-
 /// One tier transition as a wall-clock instant, for Chrome-trace export.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct TierInstant {
@@ -357,8 +308,8 @@ pub struct TraceLog {
     origin: Instant,
     open: Vec<(FuncId, Instant)>,
     spans: vgl_obs::flight::Ring<FuncSpan>,
-    /// Collections, in order.
-    pub gc: Vec<GcInstant>,
+    /// Collections, in order, each at its offset from the log's origin.
+    pub gc: Vec<(Duration, GcEvent)>,
     /// Tier-ups and deoptimizations, in order.
     pub tier: Vec<TierInstant>,
 }
@@ -409,20 +360,8 @@ impl TraceLog {
     }
 
     /// Records a collection.
-    pub fn record_gc(
-        &mut self,
-        kind: GcKind,
-        pause: Duration,
-        live_slots: usize,
-        capacity_slots: usize,
-    ) {
-        self.gc.push(GcInstant {
-            kind,
-            at: self.origin.elapsed(),
-            pause,
-            live_slots,
-            capacity_slots,
-        });
+    pub fn record_gc(&mut self, event: GcEvent) {
+        self.gc.push((self.origin.elapsed(), event));
     }
 
     /// Records a tier transition (`deopt: false` = tier-up, `true` = deopt).

@@ -20,15 +20,14 @@
 use crate::bytecode::*;
 use crate::flight::{CallKind, FlightKind, FlightRecorder};
 use crate::fuse::{tier_fuse_func, TierFeedback, TieredBody};
-use crate::profile::{GcEvent, RuntimeProfile, TraceLog, VmProfile};
+use crate::profile::{RuntimeProfile, TraceLog, VmProfile};
 use crate::tier::{site_speculation, Speculation, TierState};
 use std::rc::Rc;
 use std::time::Instant;
-use vgl_runtime::heap::GcRecord;
 use vgl_ir::ops::{self, Exception};
 use vgl_ir::Builtin;
 use vgl_runtime::heap::{
-    self, as_i32, from_i32, is_ref, CellKind, Heap, HeapStats, NeedsGc, Word, NULL,
+    self, as_i32, from_i32, is_ref, CellKind, GcEvent, Heap, HeapStats, NeedsGc, Word, NULL,
 };
 
 /// Default nursery size in slots (128 KiB of tagged words): small enough
@@ -59,41 +58,43 @@ impl std::fmt::Display for VmError {
 
 impl std::error::Error for VmError {}
 
-/// Execution statistics.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct VmStats {
-    /// Instructions executed.
-    pub instrs: u64,
-    /// Calls performed (all kinds).
-    pub calls: u64,
-    /// Virtual dispatches.
-    pub virtual_calls: u64,
-    /// Closure invocations. Note there is **no calling-convention check**:
-    /// normalization made every function scalar, so arities always match
-    /// (E6's compiled side).
-    pub closure_calls: u64,
-    /// Inline-cache hits: `CallVirt` sites whose receiver class matched the
-    /// cached class, skipping the vtable load.
-    pub ic_hits: u64,
-    /// Inline-cache misses (first execution of a site, or a megamorphic
-    /// receiver change); each miss refills the cache.
-    pub ic_misses: u64,
-    /// Return-register lists that spilled to the Rust heap because a callee
-    /// returns more than [`RET_INLINE`] values. Zero for all-scalar code —
-    /// the steady-state dispatch loop performs **no Rust-side allocation**.
-    pub ret_spills: u64,
-    /// Functions promoted to the hot tier (counting re-tiers).
-    pub tier_ups: u64,
-    /// Guard failures that deoptimized a frame back to its baseline body.
-    pub deopts: u64,
-    /// Devirtualized virtual calls dispatched through a passing
-    /// `CallGuard` receiver-class guard.
-    pub guarded_calls: u64,
-    /// Virtual calls whose one-instruction callee ran inline via
-    /// `CallInline` — no frame was pushed.
-    pub inlined_calls: u64,
-    /// Heap statistics (tuple_boxes is always 0 — E1's compiled side).
-    pub heap: HeapStats,
+vgl_obs::stats! {
+    /// Execution statistics.
+    #[derive(Clone, Copy, Debug, Default)]
+    pub struct VmStats {
+        /// Instructions executed.
+        pub instrs: u64,
+        /// Calls performed (all kinds).
+        pub calls: u64,
+        /// Virtual dispatches.
+        pub virtual_calls: u64,
+        /// Closure invocations. Note there is **no calling-convention check**:
+        /// normalization made every function scalar, so arities always match
+        /// (E6's compiled side).
+        pub closure_calls: u64,
+        /// Inline-cache hits: `CallVirt` sites whose receiver class matched the
+        /// cached class, skipping the vtable load.
+        pub ic_hits: u64,
+        /// Inline-cache misses (first execution of a site, or a megamorphic
+        /// receiver change); each miss refills the cache.
+        pub ic_misses: u64,
+        /// Return-register lists that spilled to the Rust heap because a callee
+        /// returns more than [`RET_INLINE`] values. Zero for all-scalar code —
+        /// the steady-state dispatch loop performs **no Rust-side allocation**.
+        pub ret_spills: u64,
+        /// Functions promoted to the hot tier (counting re-tiers).
+        pub tier_ups: u64,
+        /// Guard failures that deoptimized a frame back to its baseline body.
+        pub deopts: u64,
+        /// Devirtualized virtual calls dispatched through a passing
+        /// `CallGuard` receiver-class guard.
+        pub guarded_calls: u64,
+        /// Virtual calls whose one-instruction callee ran inline via
+        /// `CallInline` — no frame was pushed.
+        pub inlined_calls: u64,
+        /// Heap statistics (tuple_boxes is always 0 — E1's compiled side).
+        pub heap: HeapStats,
+    }
 }
 
 impl VmStats {
@@ -209,6 +210,8 @@ pub struct Vm<'p> {
     tracelog: Option<Box<TraceLog>>,
     /// Crash flight recorder (`--flight-record`).
     flight: Option<Box<FlightRecorder>>,
+    /// Every collection, when [`Vm::enable_gc_timeline`] is on.
+    gc_timeline: Option<Vec<GcEvent>>,
     /// Tiered-execution state ([`Vm::enable_tiering`]): per-function
     /// hot-tier bodies, re-tier schedule, and speculation bookkeeping.
     /// Boxed like the profilers; the dispatch loop is monomorphized over a
@@ -265,6 +268,7 @@ impl<'p> Vm<'p> {
             hot_precise: false,
             tracelog: None,
             flight: None,
+            gc_timeline: None,
             tier: None,
             code_gen: 0,
         }
@@ -391,14 +395,14 @@ impl<'p> Vm<'p> {
         }
     }
 
-    /// Turns on the heap's per-collection telemetry timeline.
+    /// Turns on the GC timeline: one [`GcEvent`] per collection.
     pub fn enable_gc_timeline(&mut self) {
-        self.heap.enable_timeline();
+        self.gc_timeline.get_or_insert_with(Vec::new);
     }
 
-    /// The heap's telemetry timeline (empty when not enabled).
-    pub fn gc_timeline(&self) -> &[GcRecord] {
-        self.heap.timeline()
+    /// The GC timeline so far (empty when not enabled).
+    pub fn gc_timeline(&self) -> &[GcEvent] {
+        self.gc_timeline.as_deref().unwrap_or(&[])
     }
 
     /// Captured output.
@@ -1267,47 +1271,43 @@ impl<'p> Vm<'p> {
         }
     }
 
-    /// Runs one collection with the stack and globals as roots and records
-    /// it in every enabled telemetry surface (profile, trace log, flight
-    /// recorder). `force_major` bypasses the minor/major heuristic.
+    /// Runs one collection with the stack and globals as roots. When any
+    /// recorder is on (profile, trace log, flight recorder, GC timeline)
+    /// the collection is timed once and its one [`GcEvent`] goes to each.
+    /// `force_major` bypasses the minor/major heuristic.
     fn collect_now(&mut self, force_major: bool) {
         let sp = self.stack.len();
         let mut stack = std::mem::take(&mut self.stack);
         let mut globals = std::mem::take(&mut self.globals);
-        let pause_start =
-            (self.profile.is_some() || self.tracelog.is_some()).then(Instant::now);
+        let recorded = self.profile.is_some()
+            || self.tracelog.is_some()
+            || self.flight.is_some()
+            || self.gc_timeline.is_some();
+        let start = recorded.then(Instant::now);
         let roots = &mut [&mut stack[..sp], &mut globals[..]];
-        let info = if force_major {
+        let mut event = if force_major {
             self.heap.collect_major(roots)
         } else {
             self.heap.collect(roots)
         };
-        let pause = pause_start.map(|t| t.elapsed()).unwrap_or_default();
-        if let Some(p) = self.profile.as_deref_mut() {
-            p.gc_events.push(GcEvent {
-                kind: info.kind,
-                pause,
-                live_slots: info.live_slots,
-                copied_slots: info.copied_slots,
-                capacity_slots: info.capacity_slots,
-                at_instr: self.stats.instrs,
-            });
-        }
-        if let Some(t) = self.tracelog.as_deref_mut() {
-            t.record_gc(info.kind, pause, info.live_slots, info.capacity_slots);
-        }
-        if let Some(fr) = self.flight.as_deref_mut() {
-            fr.record(
-                self.stats.instrs,
-                FlightKind::Gc {
-                    kind: info.kind,
-                    live_slots: info.live_slots,
-                    capacity_slots: info.capacity_slots,
-                },
-            );
-        }
+        let pause = start.map(|t| t.elapsed());
         self.stack = stack;
         self.globals = globals;
+        let Some(pause) = pause else { return };
+        event.pause = pause;
+        event.at_instr = self.stats.instrs;
+        if let Some(p) = self.profile.as_deref_mut() {
+            p.gc_events.push(event);
+        }
+        if let Some(t) = self.tracelog.as_deref_mut() {
+            t.record_gc(event);
+        }
+        if let Some(fr) = self.flight.as_deref_mut() {
+            fr.record(event.at_instr, FlightKind::Gc(event));
+        }
+        if let Some(timeline) = &mut self.gc_timeline {
+            timeline.push(event);
+        }
     }
 
     fn builtin(&mut self, b: Builtin, args: &[Word]) -> Result<Option<Word>, VmError> {

@@ -295,6 +295,7 @@ fn gc_timeline_mirrors_collections_through_the_vm() {
     let program = compile(CHURN);
     let mut vm = Vm::with_heap(&program, 512);
     vm.enable_gc_timeline();
+    vm.enable_profiling();
     vm.run().expect("runs");
     assert!(vm.stats.heap.collections > 0, "expected GC activity");
     let timeline = vm.gc_timeline();
@@ -302,8 +303,11 @@ fn gc_timeline_mirrors_collections_through_the_vm() {
     for rec in timeline {
         assert!(rec.live_slots <= rec.capacity_slots);
         assert!(rec.used_before >= rec.live_slots);
-        assert!(rec.occupancy() <= 1.0);
+        assert!(rec.freed_slots <= rec.used_before);
     }
+    // One record per collection, timed once: the profile keeps the same
+    // events, pauses included.
+    assert_eq!(vm.profile().expect("profiling on").gc_events, timeline);
 }
 
 #[test]

@@ -43,7 +43,7 @@ fn examples_match_golden_output_on_both_engines() {
 #[test]
 fn examples_trace_every_phase() {
     for &(name, _, _) in GOLDEN {
-        let c = vgl::Compiler::new().compile(&example(name)).expect("compiles");
+        let c = vgl::Compiler::new().without_fuse().compile(&example(name)).expect("compiles");
         let names: Vec<&str> = c.trace.phases.iter().map(|p| p.name).collect();
         assert_eq!(
             names,
